@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .ir import CDFG
 from .operators import OperatorLibrary
-from .schedule import alap_schedule, asap_schedule
+from .schedule import analyze_timing, asap_schedule
 
 __all__ = ["critical_path_length", "node_slack", "critical_nodes",
            "longest_path_nodes"]
@@ -22,9 +22,7 @@ def critical_path_length(graph: CDFG, library: OperatorLibrary) -> int:
 
 def node_slack(graph: CDFG, library: OperatorLibrary) -> dict[int, int]:
     """Slack per node: 0 means the node is on a critical path."""
-    asap = asap_schedule(graph, library)
-    alap = alap_schedule(graph, library, asap.length)
-    return {nid: alap.start[nid] - asap.start[nid] for nid in graph.nodes}
+    return analyze_timing(graph, library).slack
 
 
 def critical_nodes(graph: CDFG, library: OperatorLibrary) -> set[int]:

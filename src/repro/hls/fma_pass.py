@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .critical_path import node_slack
 from .ir import CDFG, OpKind
 from .operators import OperatorLibrary
-from .schedule import asap_schedule
+from .schedule import Timing, analyze_timing
 
 __all__ = ["FmaPassReport", "FmaPassVerificationError",
            "run_fma_insertion"]
@@ -68,7 +67,7 @@ class FmaPassReport:
             / self.baseline_length
 
 
-def _find_critical_pairs(graph: CDFG, slack: dict[int, int],
+def _find_critical_pairs(graph: CDFG, timing: Timing,
                          slack_threshold: int = 0,
                          ) -> list[tuple[int, int, int]]:
     """(add_id, mul_id, mul_port) for critical multiply->add/sub pairs.
@@ -81,9 +80,10 @@ def _find_critical_pairs(graph: CDFG, slack: dict[int, int],
     both operands are single-use multiplies, the one with less slack is
     fused (the other product stays discrete and feeds the A port).
     """
+    slack = timing.slack
     pairs: list[tuple[int, int, int]] = []
     taken: set[int] = set()
-    for nid in graph.topological_order():
+    for nid in timing.order:
         node = graph.nodes[nid]
         if node.kind not in (OpKind.ADD, OpKind.SUB) or \
                 slack[nid] > slack_threshold:
@@ -149,8 +149,7 @@ def _replace_pair(graph: CDFG, library: OperatorLibrary, add_id: int,
                        name=add_node.name or "fma", negate_b=negate_b)
     out = graph.add_op(OpKind.C2I, fma)
 
-    consumers = {cid for cid, _ in graph.consumers(add_id)}
-    graph.rewire(add_id, out, only=consumers)
+    graph.rewire(add_id, out)
     graph.remove(add_id)
     graph.remove(mul_id)
     return fma
@@ -174,14 +173,9 @@ def _remove_redundant_converters(graph: CDFG) -> int:
                 removed += 1
                 changed = True
         # dead C2I nodes (their only consumers were removed I2Cs)
-        fanout: dict[int, int] = {nid: 0 for nid in graph.nodes}
-        for n in graph.nodes.values():
-            for op in n.operands:
-                fanout[op] += 1
         for nid in list(graph.nodes):
-            node = graph.nodes.get(nid)
-            if node is not None and node.kind is OpKind.C2I and \
-                    fanout[nid] == 0:
+            if graph.nodes[nid].kind is OpKind.C2I and \
+                    not graph.successors(nid):
                 graph.remove(nid)
                 removed += 1
                 changed = True
@@ -200,20 +194,17 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
     a violation raises :class:`FmaPassVerificationError` -- the pass
     never hands a malformed datapath to the scheduler or simulator.
     """
-    report = FmaPassReport(
-        baseline_length=asap_schedule(graph, library).length,
-        final_length=0,
-    )
+    # one topological order, ASAP and ALAP per round: the graph does
+    # not change between finding the pairs and rewriting them
+    timing = analyze_timing(graph, library)
+    report = FmaPassReport(baseline_length=timing.length, final_length=0)
     for _ in range(max_rounds):
-        slack = node_slack(graph, library)
-        pairs = _find_critical_pairs(graph, slack, slack_threshold)
+        pairs = _find_critical_pairs(graph, timing, slack_threshold)
         if not pairs:
             break
         report.iterations += 1
         inserted = 0
-        round_asap = asap_schedule(graph, library)
-        ready_at = {nid: round_asap.finish(nid)
-                    for nid in round_asap.start}
+        ready_at = {nid: timing.finish(nid) for nid in timing.order}
         for add_id, mul_id, mul_port in pairs:
             # earlier replacements in this round may have consumed nodes
             if add_id not in graph.nodes or mul_id not in graph.nodes:
@@ -229,6 +220,7 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
         report.fma_per_round.append(inserted)
         report.converters_removed += _remove_redundant_converters(graph)
         graph.prune_dead()
+        timing = analyze_timing(graph, library)
         if inserted == 0:  # pragma: no cover - defensive
             break
     # mandatory post-pass self-check: prove the Fig. 12 invariant on
@@ -239,5 +231,5 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
     verification = verify_format_flow(graph, target="fma-pass")
     if not verification.ok:
         raise FmaPassVerificationError(verification)
-    report.final_length = asap_schedule(graph, library).length
+    report.final_length = timing.length
     return report

@@ -16,8 +16,9 @@ removing redundant converter pairs matters.
 
 from __future__ import annotations
 
+import bisect
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["OpKind", "ValueType", "Node", "CDFG", "PortTypeError"]
 
@@ -81,18 +82,20 @@ _RESULT_TYPES: dict[OpKind, ValueType] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """One CDFG operation.
 
-    ``operands`` are node ids in port order.  ``negate_b`` on FMA nodes
+    ``operands`` are node ids in port order, as a tuple: edges change
+    only through :class:`CDFG` (``set_operands``, ``rewire``), which
+    keeps the graph's use lists in step.  ``negate_b`` on FMA nodes
     flips the sign of the ``B`` port (how the pass absorbs a ``SUB``:
     ``a - b*c == a + (-b)*c``; the sign flip is free in IEEE format).
     """
 
     id: int
     kind: OpKind
-    operands: list[int] = field(default_factory=list)
+    operands: tuple[int, ...] = ()
     name: str = ""
     value: float | None = None      # for CONST nodes
     negate_b: bool = False          # for FMA nodes
@@ -103,10 +106,20 @@ class Node:
 
 
 class CDFG:
-    """A datapath graph: nodes, data edges, and structural queries."""
+    """A datapath graph: nodes, data edges, and structural queries.
+
+    Besides the nodes the graph keeps a use list per value: ``_users``
+    maps a node id to the ids of the nodes reading it, one entry per
+    reading port, in ascending order.  It makes the consumer queries
+    O(degree) instead of a scan over every node.  Ids read by some
+    node but absent from ``nodes`` (dangling operands, which only the
+    unchecked mutators can create) keep an entry too, so every query
+    answers exactly what a scan of ``operands`` would.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[int, Node] = {}
+        self._users: dict[int, list[int]] = {}
         self._next_id = 0
 
     # -- construction ----------------------------------------------------
@@ -118,7 +131,7 @@ class CDFG:
         Construction is the single choke point for well-typed graphs:
         even callers that bypass :meth:`add_op` cannot create a node
         whose ports read the wrong value format.  (Post-construction
-        mutation -- ``rewire`` and friends -- is deliberately
+        mutation -- ``set_operands``, ``rewire`` -- is deliberately
         unchecked; the static verifier in :mod:`repro.analysis` covers
         that.)
         """
@@ -140,8 +153,9 @@ class CDFG:
                     f"{got.value}")
         nid = self._next_id
         self._next_id += 1
-        self.nodes[nid] = Node(nid, kind, list(operands), name, value,
-                               negate_b)
+        self.nodes[nid] = Node(nid, kind, (), name, value, negate_b)
+        self._users.setdefault(nid, [])
+        self.set_operands(nid, operands)
         return nid
 
     def add_input(self, name: str) -> int:
@@ -165,16 +179,15 @@ class CDFG:
         return list(self.nodes[nid].operands)
 
     def successors(self, nid: int) -> list[int]:
-        return [n.id for n in self.nodes.values() if nid in n.operands]
+        """Distinct ids of the nodes reading ``nid``, ascending."""
+        return list(dict.fromkeys(self._users.get(nid, ())))
 
     def consumers(self, nid: int) -> list[tuple[int, int]]:
-        """(consumer id, port index) pairs reading ``nid``."""
-        out = []
-        for n in self.nodes.values():
-            for port, op in enumerate(n.operands):
-                if op == nid:
-                    out.append((n.id, port))
-        return out
+        """(consumer id, port index) pairs reading ``nid``, ordered by
+        consumer id, then port."""
+        return [(u, port) for u in self.successors(nid)
+                for port, op in enumerate(self.nodes[u].operands)
+                if op == nid]
 
     def inputs(self) -> list[int]:
         return [n.id for n in self.nodes.values()
@@ -185,22 +198,22 @@ class CDFG:
                 if n.kind is OpKind.OUTPUT]
 
     def topological_order(self) -> list[int]:
-        """Topologically sorted node ids; raises on cycles."""
+        """Topologically sorted node ids; raises on cycles.
+
+        Built from ``operands`` rather than the use lists, so a
+        dangling operand still raises ``KeyError`` here."""
         indeg = {nid: 0 for nid in self.nodes}
         succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
         for n in self.nodes.values():
             for op in n.operands:
                 succs[op].append(n.id)
                 indeg[n.id] += 1
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
+        order = sorted(nid for nid, d in indeg.items() if d == 0)
+        for nid in order:       # FIFO: ``order`` doubles as the queue
             for s in succs[nid]:
                 indeg[s] -= 1
                 if indeg[s] == 0:
-                    ready.append(s)
+                    order.append(s)
         if len(order) != len(self.nodes):
             raise ValueError("CDFG contains a cycle")
         return order
@@ -220,19 +233,33 @@ class CDFG:
     def op_count(self, kind: OpKind) -> int:
         return sum(1 for n in self.nodes.values() if n.kind is kind)
 
+    # -- mutation ----------------------------------------------------------
+
+    def set_operands(self, nid: int, operands) -> None:
+        """Replace the operand list of ``nid`` (unchecked, like
+        :meth:`rewire`: ids need not exist, ports are not typed)."""
+        node = self.nodes[nid]
+        for op in node.operands:
+            self._users[op].remove(nid)
+        node.operands = tuple(operands)
+        for op in node.operands:
+            bisect.insort(self._users.setdefault(op, []), nid)
+
     def rewire(self, old: int, new: int,
                only: set[int] | None = None) -> None:
         """Redirect consumers of ``old`` to read ``new`` instead."""
-        for n in self.nodes.values():
-            if only is not None and n.id not in only:
-                continue
-            n.operands = [new if op == old else op for op in n.operands]
+        for u in self.successors(old):
+            if only is None or u in only:
+                self.set_operands(u, [new if op == old else op
+                                      for op in self.nodes[u].operands])
 
     def remove(self, nid: int) -> None:
         """Remove a node (must have no consumers)."""
-        if self.successors(nid):
+        if self._users.get(nid):
             raise ValueError(f"node {nid} still has consumers")
+        self.set_operands(nid, ())
         del self.nodes[nid]
+        self._users.pop(nid, None)
 
     def prune_dead(self) -> int:
         """Remove nodes with no path to an output; returns count."""
@@ -245,8 +272,13 @@ class CDFG:
             live.add(nid)
             work.extend(self.nodes[nid].operands)
         dead = [nid for nid in self.nodes if nid not in live]
+        # every reader of a dead node is dead too: drop their edges
+        # first, then the nodes and their (now empty) use lists
+        for nid in dead:
+            self.set_operands(nid, ())
         for nid in dead:
             del self.nodes[nid]
+            self._users.pop(nid, None)
         return len(dead)
 
     # -- debugging ---------------------------------------------------------

@@ -41,6 +41,18 @@ class OperatorSpec:
     dsps: int = 0
 
 
+#: node kind -> physical operator pool (None = wiring); FMA nodes map to
+#: the library's ``fma-<flavor>`` pool
+_RESOURCE_CLASS: dict[OpKind, str | None] = {
+    OpKind.INPUT: None, OpKind.CONST: None, OpKind.OUTPUT: None,
+    OpKind.NEG: None, OpKind.FMA: "fma", OpKind.ADD: "add",
+    OpKind.SUB: "add", OpKind.MUL: "mul", OpKind.DIV: "div",
+    OpKind.I2C: "i2c", OpKind.C2I: "c2i",
+}
+
+_FREE = OperatorSpec("free", 0)
+
+
 @dataclass
 class OperatorLibrary:
     """Maps CDFG node kinds to operator specs + resource limits.
@@ -62,27 +74,16 @@ class OperatorLibrary:
     def spec_for(self, node: Node) -> OperatorSpec:
         key = self.resource_class(node)
         if key is None:
-            return OperatorSpec("free", 0)
+            return _FREE
         return self.specs[key]
 
     def resource_class(self, node: Node) -> str | None:
         """Which physical operator pool a node occupies (None = wiring)."""
-        k = node.kind
-        if k in (OpKind.INPUT, OpKind.CONST, OpKind.OUTPUT, OpKind.NEG):
-            return None
-        if k is OpKind.FMA:
-            return f"fma-{self.fma_flavor}"
-        if k in (OpKind.ADD, OpKind.SUB):
-            return "add"
-        if k is OpKind.MUL:
-            return "mul"
-        if k is OpKind.DIV:
-            return "div"
-        if k is OpKind.I2C:
-            return "i2c"
-        if k is OpKind.C2I:
-            return "c2i"
-        raise KeyError(f"no operator for {k}")
+        try:
+            res = _RESOURCE_CLASS[node.kind]
+        except KeyError:
+            raise KeyError(f"no operator for {node.kind}") from None
+        return f"fma-{self.fma_flavor}" if res == "fma" else res
 
     def limit_for(self, resource: str) -> int | None:
         if resource.startswith("fma"):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .ir import CDFG
 from .operators import OperatorLibrary
 
-__all__ = ["Schedule", "asap_schedule", "alap_schedule", "list_schedule"]
+__all__ = ["Schedule", "Timing", "analyze_timing", "asap_schedule",
+           "alap_schedule", "list_schedule"]
 
 
 @dataclass
@@ -57,15 +58,76 @@ class Schedule:
         return peak
 
 
+@dataclass(frozen=True)
+class Timing:
+    """The ASAP/ALAP analysis of a CDFG over one topological order.
+
+    One call to :func:`analyze_timing` does one topological sort and
+    one latency lookup per node; the Fig. 12 pass reads everything it
+    needs in a round from it, and the list scheduler its priorities.
+    """
+
+    order: list[int]            # topological order
+    latency: dict[int, int]     # per node
+    asap: dict[int, int]        # ASAP start times
+    slack: dict[int, int]       # ALAP - ASAP start; 0 = critical
+    length: int                 # ASAP schedule length
+
+    def finish(self, nid: int) -> int:
+        """ASAP finish time of ``nid``."""
+        return self.asap[nid] + self.latency[nid]
+
+
+def _latencies(graph: CDFG, library: OperatorLibrary,
+               order: list[int]) -> dict[int, int]:
+    return {nid: library.latency(graph.nodes[nid]) for nid in order}
+
+
+def _asap_starts(graph: CDFG, order: list[int],
+                 lat: dict[int, int]) -> dict[int, int]:
+    start: dict[int, int] = {}
+    for nid in order:
+        t = 0
+        for op in graph.nodes[nid].operands:
+            t = max(t, start[op] + lat[op])
+        start[nid] = t
+    return start
+
+
+def _alap_starts(graph: CDFG, order: list[int], lat: dict[int, int],
+                 horizon: int) -> dict[int, int]:
+    """Latest starts: a sink finishes at ``horizon``, every other node
+    by the earliest latest-start of its consumers."""
+    deadline = dict.fromkeys(graph.nodes, horizon)
+    start: dict[int, int] = {}
+    for nid in reversed(order):
+        start[nid] = t = deadline[nid] - lat[nid]
+        for op in graph.nodes[nid].operands:
+            deadline[op] = min(deadline[op], t)
+    return start
+
+
+def _length(order: list[int], start: dict[int, int],
+            lat: dict[int, int]) -> int:
+    return max((start[nid] + lat[nid] for nid in order), default=0)
+
+
+def analyze_timing(graph: CDFG, library: OperatorLibrary) -> Timing:
+    """ASAP starts, slack and length of ``graph`` (unconstrained
+    resources, ALAP against the ASAP length)."""
+    order = graph.topological_order()
+    lat = _latencies(graph, library, order)
+    asap = _asap_starts(graph, order, lat)
+    length = _length(order, asap, lat)
+    alap = _alap_starts(graph, order, lat, length)
+    slack = {nid: alap[nid] - asap[nid] for nid in graph.nodes}
+    return Timing(order, lat, asap, slack, length)
+
+
 def asap_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
     """As-soon-as-possible start times (unconstrained resources)."""
-    start: dict[int, int] = {}
-    for nid in graph.topological_order():
-        node = graph.nodes[nid]
-        t = 0
-        for op in node.operands:
-            t = max(t, start[op] + library.latency(graph.nodes[op]))
-        start[nid] = t
+    order = graph.topological_order()
+    start = _asap_starts(graph, order, _latencies(graph, library, order))
     return Schedule(start, graph, library)
 
 
@@ -73,22 +135,12 @@ def alap_schedule(graph: CDFG, library: OperatorLibrary,
                   horizon: int | None = None) -> Schedule:
     """As-late-as-possible start times against a horizon (defaults to
     the ASAP length, giving zero slack on the critical path)."""
-    asap = asap_schedule(graph, library)
+    order = graph.topological_order()
+    lat = _latencies(graph, library, order)
     if horizon is None:
-        horizon = asap.length
-    succs: dict[int, list[int]] = {nid: [] for nid in graph.nodes}
-    for n in graph.nodes.values():
-        for op in n.operands:
-            succs[op].append(n.id)
-    start: dict[int, int] = {}
-    for nid in reversed(graph.topological_order()):
-        node = graph.nodes[nid]
-        lat = library.latency(node)
-        if not succs[nid]:
-            start[nid] = horizon - lat
-        else:
-            start[nid] = min(start[s] for s in succs[nid]) - lat
-    return Schedule(start, graph, library)
+        horizon = _length(order, _asap_starts(graph, order, lat), lat)
+    return Schedule(_alap_starts(graph, order, lat, horizon), graph,
+                    library)
 
 
 def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
@@ -102,9 +154,8 @@ def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
     """
     import heapq
 
-    asap = asap_schedule(graph, library)
-    alap = alap_schedule(graph, library, asap.length)
-    slack = {nid: alap.start[nid] - asap.start[nid] for nid in graph.nodes}
+    timing = analyze_timing(graph, library)
+    slack, lat = timing.slack, timing.latency
 
     succs: dict[int, list[int]] = {nid: [] for nid in graph.nodes}
     remaining: dict[int, int] = {}
@@ -140,7 +191,7 @@ def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
                 used[res] = used.get(res, 0) + 1
             start[nid] = cycle
             scheduled += 1
-            done = cycle + library.latency(node)
+            done = cycle + lat[nid]
             for succ in succs[nid]:
                 remaining[succ] -= 1
                 # a successor is ready at the max finish over *all* its

@@ -1,12 +1,15 @@
 """Tests for the Fig. 12 FMA-insertion pass."""
 
+import hashlib
 import random
+import time
 
 import pytest
 
 from repro.fma import fcs_engine, pcs_engine
 from repro.hls import (OpKind, asap_schedule, default_library,
-                       parse_program, run_fma_insertion, simulate)
+                       list_schedule, parse_program, run_fma_insertion,
+                       simulate)
 
 LISTING1 = """
 x1 = a*b + c*d;
@@ -151,7 +154,7 @@ class TestGraphHygiene:
                 node = graph.nodes[out]
                 src = graph.nodes[node.operands[0]]
                 if src.kind is OpKind.C2I:
-                    node.operands[0] = src.operands[0]
+                    graph.set_operands(out, [src.operands[0]])
             return removed
 
         monkeypatch.setattr(fp, "_remove_redundant_converters",
@@ -183,3 +186,75 @@ class TestLdlsolveShape:
         pcs_red = 1 - lengths["pcs"][1] / lengths["pcs"][0]
         fcs_red = 1 - lengths["fcs"][1] / lengths["fcs"][0]
         assert fcs_red > pcs_red
+
+
+#: sha256 over the pass's output on the Fig. 15 solvers (seed 1), for
+#: pcs/fcs and slack thresholds 0/2: every post-pass graph as sorted
+#: (id, kind, operands, name, negate_b), every FmaPassReport field and
+#: every list_schedule start time.  Recorded before the CDFG gained its
+#: use lists; any change to which pairs fuse, in what order, or how
+#: the result schedules moves it.
+GOLDEN_PASS_DIGEST = \
+    "5e6a90663d42000a2fbfc167f60d6d843246c228f23a50961724bdb6ab6251eb"
+
+
+def pass_digest(sizes, seed=1, thresholds=(0, 2)):
+    from repro.solvers import generate_kernel, trajectory_problem
+    h = hashlib.sha256()
+    for name, horizon, obstacles in sizes:
+        kernel = generate_kernel(trajectory_problem(horizon, obstacles,
+                                                    seed=seed))
+        for flavor in ("pcs", "fcs"):
+            for threshold in thresholds:
+                g = parse_program(kernel.source,
+                                  outputs=kernel.output_names)
+                lib = default_library(fma_flavor=flavor, fma_limit=39)
+                rep = run_fma_insertion(g, lib, slack_threshold=threshold)
+                nodes = sorted((n.id, n.kind.value, tuple(n.operands),
+                                n.name, n.negate_b)
+                               for n in g.nodes.values())
+                fields = (rep.baseline_length, rep.final_length,
+                          rep.iterations, rep.fma_inserted,
+                          rep.converters_removed, tuple(rep.fma_per_round))
+                start = sorted(list_schedule(g, lib).start.items())
+                h.update(repr((name, flavor, threshold, nodes, fields,
+                               start)).encode())
+    return h.hexdigest()
+
+
+class TestGoldenOutput:
+    def test_pass_digest_unchanged(self):
+        from repro.solvers import BENCHMARK_SIZES
+        assert pass_digest(BENCHMARK_SIZES) == GOLDEN_PASS_DIGEST
+
+
+@pytest.mark.slow
+class TestScale:
+    """A solver 10x the Fig. 15 ones: the pass must stay fast (per-round
+    cost linear in the graph) and its schedules must not move."""
+
+    #: trajectory_problem(48, 6): baseline, pcs, fcs list-schedule cycles
+    CYCLES = {"baseline": 4639, "pcs": 3998, "fcs": 2404}
+    #: wall-time ceiling per pass; the use-list CDFG needs ~2 s on a
+    #: 2-core host, the earlier whole-graph scans extrapolate to ~60 s
+    PASS_CEILING_S = 20.0
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        from repro.solvers import generate_kernel, trajectory_problem
+        return generate_kernel(trajectory_problem(48, 6))
+
+    def test_baseline_cycles(self, kernel):
+        g = parse_program(kernel.source, outputs=kernel.output_names)
+        assert list_schedule(g, default_library()).length == \
+            self.CYCLES["baseline"]
+
+    @pytest.mark.parametrize("flavor", ["pcs", "fcs"])
+    def test_pass_cycles_and_ceiling(self, kernel, flavor):
+        g = parse_program(kernel.source, outputs=kernel.output_names)
+        lib = default_library(fma_flavor=flavor, fma_limit=39)
+        t0 = time.perf_counter()
+        run_fma_insertion(g, lib)       # verifier included
+        took = time.perf_counter() - t0
+        assert list_schedule(g, lib).length == self.CYCLES[flavor]
+        assert took < self.PASS_CEILING_S

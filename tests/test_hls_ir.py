@@ -1,6 +1,7 @@
 """Tests for the CDFG IR (repro.hls.ir)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hls import CDFG, OpKind, PortTypeError, ValueType
 
@@ -109,7 +110,7 @@ class TestStructure:
     def test_cycle_detection(self):
         g, (a, b, c, m, s) = small_graph()
         # manually create a cycle
-        g.nodes[m].operands[0] = s
+        g.set_operands(m, [s, b])
         with pytest.raises(ValueError):
             g.topological_order()
 
@@ -149,3 +150,102 @@ class TestStructure:
         dot = g.to_dot()
         assert dot.startswith("digraph")
         assert "mul" in dot and "ieee" in dot
+
+
+def _brute_consumers(g, nid):
+    return [(n.id, port) for n in g.nodes.values()
+            for port, op in enumerate(n.operands) if op == nid]
+
+
+def _brute_successors(g, nid):
+    return [n.id for n in g.nodes.values() if nid in n.operands]
+
+
+def _model_live(model, kinds):
+    """Ids reachable backwards from the OUTPUT nodes of ``model``."""
+    live: set[int] = set()
+    work = [nid for nid in model if kinds[nid] is OpKind.OUTPUT]
+    while work:
+        nid = work.pop()
+        if nid not in live:
+            live.add(nid)
+            work.extend(model[nid])     # KeyError on a dangling id
+    return live
+
+
+#: IEEE-in/IEEE-out kinds, so any existing node is a well-typed operand
+_KINDS = [(OpKind.ADD, 2), (OpKind.MUL, 2), (OpKind.NEG, 1),
+          (OpKind.OUTPUT, 1)]
+
+
+class TestUseListIndex:
+    """Random edit sequences against a plain ``{id: operands}`` model:
+    the edits do what the model does, and the use lists behind
+    consumers()/successors() always answer what a scan of every node's
+    operands would (unchecked edits included: cycles, dangling ids)."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_index_matches_brute_force_scan(self, data):
+        g = CDFG()
+        model: dict[int, list[int]] = {}
+        kinds: dict[int, OpKind] = {}
+        removed: list[int] = []
+        ids = st.sampled_from
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            live = sorted(model)
+            step = data.draw(ids(["add", "rewire", "rewire_only", "set",
+                                  "remove", "prune"]))
+            if not live:
+                nid = g.add_input("x")
+                model[nid], kinds[nid] = [], OpKind.INPUT
+            elif step == "add":
+                kind, arity = data.draw(ids(_KINDS))
+                ops = data.draw(st.lists(ids(live), min_size=arity,
+                                         max_size=arity))
+                nid = g.add_op(kind, *ops)
+                model[nid], kinds[nid] = ops, kind
+            elif step in ("rewire", "rewire_only"):
+                old = data.draw(ids(live + removed))
+                new = data.draw(ids(live))
+                only = None
+                if step == "rewire_only":
+                    only = set(data.draw(st.lists(ids(live))))
+                g.rewire(old, new, only=only)
+                for nid, ops in model.items():
+                    if only is None or nid in only:
+                        model[nid] = [new if op == old else op
+                                      for op in ops]
+            elif step == "set":
+                nid = data.draw(ids(live))
+                pool = ids(live) | st.integers(10_000, 10_002)
+                model[nid] = data.draw(st.lists(pool, max_size=3))
+                g.set_operands(nid, model[nid])
+            elif step == "remove":
+                nid = data.draw(ids(live))
+                if any(nid in ops for ops in model.values()):
+                    with pytest.raises(ValueError):
+                        g.remove(nid)
+                else:
+                    g.remove(nid)
+                    del model[nid]
+                    removed.append(nid)
+            else:
+                try:
+                    keep = _model_live(model, kinds)
+                except KeyError:    # a live node reads a dangling id
+                    with pytest.raises(KeyError):
+                        g.prune_dead()
+                else:
+                    assert g.prune_dead() == len(model) - len(keep)
+                    removed.extend(set(model) - keep)
+                    model = {n: ops for n, ops in model.items()
+                             if n in keep}
+            assert {n: node.operands for n, node in g.nodes.items()} == \
+                {n: tuple(ops) for n, ops in model.items()}
+            probe = set(model) | set(removed) | {10_000, 10_001, 10_002}
+            for ops in model.values():
+                probe.update(ops)
+            for nid in probe:
+                assert g.consumers(nid) == _brute_consumers(g, nid)
+                assert g.successors(nid) == _brute_successors(g, nid)
