@@ -7,7 +7,9 @@ solver/HLS/experiment layers can push thousands of FMAs through one
 call:
 
 * :func:`fma_batch` / :func:`dot_batch` / :func:`accumulate_batch` --
-  batched entry points over the carry-save units and the [12] MAC;
+  batched entry points over the carry-save units and the [12] MAC, and
+  :func:`fma_words` / :func:`dot_words`, their binary64 bit-pattern
+  twins (the serving layer's boundary);
 * :func:`accelerate_engine` plus the ``Fast*Engine`` classes -- drop-in
   fast twins of the :class:`~repro.fma.chain.FmaEngine` family, used by
   the ``use_batch=`` switches in ``hls.simulate``/``hls.execute`` and
@@ -24,7 +26,8 @@ pinned to them by the differential harness in
 ``tests/test_batch_differential.py``.
 """
 
-from .api import accumulate_batch, dot_batch, fma_batch
+from .api import (accumulate_batch, dot_batch, dot_words, fma_batch,
+                  fma_words)
 from .cskernel import FastCSKernel, bit_positions, kernel_for
 from .engines import (BACKENDS, FastCSFmaEngine, FastDiscreteMulAddEngine,
                       FastFusedIeeeEngine, accelerate_engine,
@@ -36,7 +39,7 @@ from .trees import clear_tree_cache, tree_depth, tree_fn
 from .vector import VectorCSKernel, clear_vector_cache, vector_kernel_for
 
 __all__ = [
-    "fma_batch", "dot_batch", "accumulate_batch",
+    "fma_batch", "dot_batch", "accumulate_batch", "fma_words", "dot_words",
     "accelerate_engine", "FastCSFmaEngine", "FastDiscreteMulAddEngine",
     "FastFusedIeeeEngine", "FastCSKernel", "kernel_for", "bit_positions",
     "BACKENDS", "resolve_backend", "vector_available",

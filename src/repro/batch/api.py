@@ -1,10 +1,16 @@
 """Public batched entry points: ``fma_batch``, ``dot_batch``,
-``accumulate_batch``.
+``accumulate_batch``, and the binary64 word twins ``fma_words`` /
+``dot_words``.
 
 Each function evaluates many operations through the fast kernels of
 :mod:`repro.batch` while remaining bit-identical to the corresponding
 scalar loop over the faithful models (``use_batch=False`` literally runs
 that loop, which is what the differential tests compare against).
+
+The word entry points are the serving layer's boundary: binary64 bit
+patterns in, bit patterns out.  On the vector engine they stay on
+``uint64`` lane arrays end to end; on every other path they decode to
+the same objects :func:`fma_batch` / :func:`dot_batch` take.
 """
 
 from __future__ import annotations
@@ -17,123 +23,132 @@ from ..fma.convert import cs_to_ieee, ieee_to_cs
 from ..fma.csfma import CSFmaUnit, FcsFmaUnit
 from ..fma.formats import CSFloat
 from ..fp.formats import BINARY64
-from ..fp.value import FpClass, FPValue
+from ..fp.value import FpClass, FPValue, fp_to_word, word_to_fp
 from ..guard import residue as _gd
 from ..telemetry import core as _tm
-from .cskernel import CS_ZERO, bit_positions, kernel_for
+from .cskernel import CS_NORMAL, CS_ZERO, bit_positions, kernel_for
 from .engines import requested_backend, resolve_backend
 from .ieee_fast import fp_mul_fast
 
-__all__ = ["fma_batch", "dot_batch", "accumulate_batch"]
+__all__ = ["fma_batch", "dot_batch", "accumulate_batch", "fma_words",
+           "dot_words"]
 
-#: below these batch sizes the vector engine's fixed ndarray overhead
-#: loses to the tuple kernel, so ``auto`` dispatch routes the call to
-#: the tuple kernel (counted as a ``small-batch`` fallback).  An
-#: explicit ``backend="vector"`` pin skips the heuristic: the per-fma
-#: lift/lower staging only amortizes across hundreds of lanes, whereas
-#: the dot chain amortizes its staging across the whole vector length.
+#: ``auto`` routes a call to the vector engine only at or above these
+#: sizes; below them the engine's fixed ndarray overhead loses to the
+#: tuple kernel (counted as a ``small-batch`` fallback).  An explicit
+#: ``backend="vector"`` pin skips the heuristic.  Independent FMA lanes
+#: amortize the per-call staging only across hundreds of lanes, a single
+#: dot across its vector length, a coalesced dot payload across its lanes.
 VECTOR_MIN_FMA_LANES = 512
 VECTOR_MIN_DOT_LEN = 512
+VECTOR_MIN_DOT_LANES = 32
 
 
-def _vector_blocked() -> "str | None":
-    """Reason the vector engine must defer this *call* entirely, or
-    ``None``.  Armed fault probes and the armed residue guard observe
-    scalar datapath signals, so arming semantics are preserved exactly
-    by routing armed work through the tuple kernel."""
+def _vector_gate(unit, n: int, minimum: int, pinned: bool, tm):
+    """The :class:`~repro.batch.vector.VectorCSKernel` for a call of
+    ``n`` lanes, or ``None`` after counting
+    ``batch.vector.fallback.<reason>`` into ``tm``.
+
+    Armed fault probes and the armed residue guard observe scalar
+    datapath signals, so armed work always takes the tuple kernel;
+    unless ``pinned``, calls below ``minimum`` lanes take it too."""
     if probes.ARMED is not None:
-        return "armed-probes"
-    if _gd.ACTIVE is not None:
-        return "armed-guard"
-    return None
+        reason = "armed-probes"
+    elif _gd.ACTIVE is not None:
+        reason = "armed-guard"
+    elif not pinned and n < minimum:
+        reason = "small-batch"
+    else:
+        from .vector import vector_kernel_for
 
-
-def _count_fallback(tm, reason: str) -> None:
+        vk = vector_kernel_for(unit)
+        if vk is not None:
+            return vk
+        reason = "no-kernel"
     if tm is not None:
         tm.count("batch.vector.fallback")
         tm.count(f"batch.vector.fallback.{reason}")
+    return None
 
 
-def _fp_word(x: FPValue) -> int:
-    """Canonical binary64 bit pattern (specials defer, so only the
-    normal/zero encodings must round-trip exactly)."""
-    if x.is_nan:
-        return 0x7FF8000000000000
-    if x.is_inf:
-        return (x.sign << 63) | 0x7FF0000000000000
-    if x.is_zero:
-        return x.sign << 63
-    return (x.sign << 63) | (x.biased_exponent << 52) | x.fraction
-
-
-def _fma_vector(kernel, unit, a, b, c, tm,
-                pinned: bool = False) -> "list[CSFloat] | None":
-    """All-lanes vector evaluation of ``fma_batch``; ``None`` -> caller
-    falls back to the tuple loop (reason already counted).  ``pinned``
-    (an explicit ``vector`` request) bypasses the batch-size
-    heuristic."""
-    from .vector import np, vector_kernel_for
-
-    reason = _vector_blocked()
-    if reason is None and not pinned and len(a) < VECTOR_MIN_FMA_LANES:
-        reason = "small-batch"
-    vk = vector_kernel_for(unit) if reason is None else None
-    if reason is None and vk is None:
-        reason = "no-kernel"
-    if reason is not None:
-        _count_fallback(tm, reason)
-        return None
-    n = len(a)
-    defer = np.zeros(n, bool)
-    aw = np.zeros(n, np.uint64)
-    bw = np.zeros(n, np.uint64)
-    cw = np.zeros(n, np.uint64)
-    for i in range(n):
-        ai, ci = a[i], c[i]
-        if isinstance(ai, FPValue) and isinstance(ci, FPValue):
-            aw[i] = _fp_word(ai)
-            bw[i] = _fp_word(b[i])
-            cw[i] = _fp_word(ci)
-        else:
-            defer[i] = True     # live CS operands: no word encoding
-    acs, _ab, spec_a = vk.lift_words(aw)
-    _cb, bcs, spec_b = vk.lift_words(bw)
-    ccs, _xb, spec_c = vk.lift_words(cw)
-    n_cs = int(defer.sum())
-    defer |= spec_a | spec_b | spec_c
-    # deferred lanes run scalar below; make their vector lanes trivial
-    # (class ZERO) so the lane engine never sees a special class
-    for cols in (acs, bcs, ccs):
-        cols["cls"] = np.where(defer, CS_ZERO, cols["cls"])
-    tuples = vk.lower_lanes(vk.fma_lanes(acs, bcs, ccs))
+def _dispatch(op: str, unit, n: int, use_batch: bool, backend,
+              minimum: int):
+    """Resolve one batch call to ``(unit, kernel, vk, tm)``: ``kernel``
+    is ``None`` on the faithful path, ``vk`` the vector lane kernel when
+    the call may use it."""
+    unit = unit if unit is not None else FcsFmaUnit()
+    if not use_batch:
+        requested = backend = "faithful"
+    else:
+        requested = requested_backend(backend)
+        backend = resolve_backend(requested)
+    kernel = kernel_for(unit) if backend != "faithful" else None
+    tm = _tm.ACTIVE
     if tm is not None:
-        n_def = int(defer.sum())
-        tm.count("batch.vector.lanes", n - n_def)
-        if n_def:
-            tm.count("batch.vector.deferred", n_def)
-            if n_cs:
-                tm.count("batch.vector.deferred.cs-operand", n_cs)
-            if n_def - n_cs:
-                tm.count("batch.vector.deferred.special", n_def - n_cs)
-    lower = kernel.lower
-    out = [lower(t) for t in tuples]
-    if defer.any():
-        lift = kernel.lift_cs
-        lift_ieee = kernel.lift_ieee
-        for i in np.flatnonzero(defer):
-            ai, bi, ci = a[i], b[i], c[i]
-            at = lift_ieee(ai) if isinstance(ai, FPValue) else lift(ai)
-            ct = lift_ieee(ci) if isinstance(ci, FPValue) else lift(ci)
-            bt = kernel.lift_b(bi)
-            pos = bit_positions(bt[3]) if bt[0] == 1 else None
-            out[i] = lower(kernel.fma(at, bt, ct, pos))
-    return out
+        # call-boundary instrumentation only: per-kernel lane counts,
+        # never per-element work (keeps the disabled-overhead gate free)
+        tm.count(f"batch.{op}.calls")
+        tm.count(f"batch.{op}.elements.{unit.params.name}", n)
+        if kernel is None:
+            tm.count(f"batch.{op}.fallback_scalar")
+    vk = None
+    if kernel is not None and backend == "vector":
+        vk = _vector_gate(unit, n, minimum, requested == "vector", tm)
+    return unit, kernel, vk, tm
 
 
 def _as_cs(x: "CSFloat | FPValue", unit: CSFmaUnit) -> CSFloat:
     if isinstance(x, FPValue):
         return ieee_to_cs(x, unit.params)
     return x
+
+
+def _fma_tuple(kernel, a, b, c) -> tuple:
+    """One ``a + b * c`` lane on the tuple kernel."""
+    at = kernel.lift_ieee(a) if isinstance(a, FPValue) else kernel.lift_cs(a)
+    ct = kernel.lift_ieee(c) if isinstance(c, FPValue) else kernel.lift_cs(c)
+    bt = kernel.lift_b(b)
+    pos = bit_positions(bt[3]) if bt[0] == CS_NORMAL else None
+    return kernel.fma(at, bt, ct, pos)
+
+
+def _fma_scalar(unit, kernel, a, b, c) -> list[CSFloat]:
+    """Lane by lane: the faithful unit, or the tuple kernel."""
+    if kernel is None:
+        return [unit.fma(_as_cs(ai, unit), bi, _as_cs(ci, unit))
+                for ai, bi, ci in zip(a, b, c)]
+    lower = kernel.lower
+    return [lower(_fma_tuple(kernel, ai, bi, ci))
+            for ai, bi, ci in zip(a, b, c)]
+
+
+def _fma_cols(vk, aw, bw, cw, defer, tm):
+    """The vector core of :func:`fma_batch` and :func:`fma_words`.
+
+    Lifts the binary64 word lanes, adds the Inf/NaN lanes to the
+    caller's ``defer`` mask and runs every other lane through
+    :meth:`VectorCSKernel.fma_lanes`.  Returns ``(cols, defer)``; the
+    caller redoes the deferred lanes on the scalar kernel."""
+    from .vector import np
+
+    acs, _ab, spec_a = vk.lift_words(aw)
+    _cb, bcs, spec_b = vk.lift_words(bw)
+    ccs, _xb, spec_c = vk.lift_words(cw)
+    special = (spec_a | spec_b | spec_c) & ~defer
+    defer = defer | special
+    # deferred lanes run scalar; make their vector lanes trivial
+    # (class ZERO) so the lane engine never sees a special class
+    for cols in (acs, bcs, ccs):
+        cols["cls"] = np.where(defer, CS_ZERO, cols["cls"])
+    if tm is not None:
+        n_def = int(defer.sum())
+        n_spec = int(special.sum())
+        tm.count("batch.vector.lanes", defer.shape[0] - n_def)
+        if n_def:
+            tm.count("batch.vector.deferred", n_def)
+        if n_spec:
+            tm.count("batch.vector.deferred.special", n_spec)
+    return vk.fma_lanes(acs, bcs, ccs), defer
 
 
 def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
@@ -148,41 +163,77 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
     ``unit.fma`` element by element.  ``backend`` selects the evaluation
     machinery (:data:`repro.batch.engines.BACKENDS`; ``None`` honours
     ``REPRO_BATCH_BACKEND``); ``use_batch=False`` forces ``faithful``.
+    On the vector engine, lanes with a CS or non-binary64 operand have
+    no word encoding and take the tuple kernel.
     """
     if not (len(a) == len(b) == len(c)):
         raise ValueError("operand vector length mismatch")
-    unit = unit if unit is not None else FcsFmaUnit()
-    if not use_batch:
-        requested = backend = "faithful"
-    else:
-        requested = requested_backend(backend)
-        backend = resolve_backend(requested)
-    kernel = kernel_for(unit) if backend != "faithful" else None
-    tm = _tm.ACTIVE
-    if tm is not None:
-        # call-boundary instrumentation only: per-kernel lane counts,
-        # never per-element work (keeps the disabled-overhead gate free)
-        tm.count("batch.fma.calls")
-        tm.count(f"batch.fma.elements.{unit.params.name}", len(a))
-        if kernel is None:
-            tm.count("batch.fma.fallback_scalar")
-    if kernel is None:
-        return [unit.fma(_as_cs(ai, unit), bi, _as_cs(ci, unit))
-                for ai, bi, ci in zip(a, b, c)]
-    if backend == "vector":
-        out = _fma_vector(kernel, unit, a, b, c, tm,
-                          pinned=requested == "vector")
-        if out is not None:
-            return out
-    lift = kernel.lift_cs
-    lift_ieee = kernel.lift_ieee
-    out = []
+    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), use_batch,
+                                     backend, VECTOR_MIN_FMA_LANES)
+    if vk is None:
+        return _fma_scalar(unit, kernel, a, b, c)
+    from .vector import np
+
+    words, defer = [], []
+    n_cs = n_fmt = 0
     for ai, bi, ci in zip(a, b, c):
-        at = lift_ieee(ai) if isinstance(ai, FPValue) else lift(ai)
-        ct = lift_ieee(ci) if isinstance(ci, FPValue) else lift(ci)
-        bt = kernel.lift_b(bi)
-        pos = bit_positions(bt[3]) if bt[0] == 1 else None
-        out.append(kernel.lower(kernel.fma(at, bt, ct, pos)))
+        if not (isinstance(ai, FPValue) and isinstance(ci, FPValue)):
+            n_cs += 1
+        elif ai.fmt is bi.fmt is ci.fmt is BINARY64:
+            words.append((fp_to_word(ai), fp_to_word(bi), fp_to_word(ci)))
+            defer.append(False)
+            continue
+        else:
+            n_fmt += 1
+        words.append((0, 0, 0))
+        defer.append(True)
+    if tm is not None:
+        if n_cs:
+            tm.count("batch.vector.deferred.cs-operand", n_cs)
+        if n_fmt:
+            tm.count("batch.vector.deferred.non-binary64", n_fmt)
+    w = np.array(words, np.uint64).reshape(-1, 3)
+    cols, defer = _fma_cols(vk, w[:, 0], w[:, 1], w[:, 2],
+                            np.array(defer, bool), tm)
+    lower = kernel.lower
+    out = [lower(t) for t in vk.lower_lanes(cols)]
+    for i in np.flatnonzero(defer).tolist():
+        out[i] = lower(_fma_tuple(kernel, a[i], b[i], c[i]))
+    return out
+
+
+def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
+              unit: CSFmaUnit | None = None, *,
+              use_batch: bool = True,
+              backend: str | None = None) -> list[int]:
+    """:func:`fma_batch` over binary64 bit patterns, returning the
+    bit pattern of each lane's IEEE result (``cs_to_ieee``).
+
+    Operands decode as :func:`repro.fp.word_to_fp` does (subnormal
+    encodings flush to signed zero).  On the vector engine the lanes
+    never become objects -- ``lift_words -> fma_lanes -> pack_words``
+    -- and only Inf/NaN lanes take the scalar kernel; every other path
+    decodes the words and runs :func:`fma_batch`'s lane loop.
+    """
+    if not (len(a) == len(b) == len(c)):
+        raise ValueError("operand vector length mismatch")
+    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), use_batch,
+                                     backend, VECTOR_MIN_FMA_LANES)
+    if vk is None:
+        out = _fma_scalar(unit, kernel, [word_to_fp(w) for w in a],
+                          [word_to_fp(w) for w in b],
+                          [word_to_fp(w) for w in c])
+        return [fp_to_word(cs_to_ieee(r)) for r in out]
+    from .vector import np
+
+    cols, defer = _fma_cols(vk, np.array(a, np.uint64),
+                            np.array(b, np.uint64), np.array(c, np.uint64),
+                            np.zeros(len(a), bool), tm)
+    out = vk.pack_words(cols).tolist()
+    for i in np.flatnonzero(defer).tolist():
+        r = _fma_tuple(kernel, word_to_fp(a[i]), word_to_fp(b[i]),
+                       word_to_fp(c[i]))
+        out[i] = fp_to_word(cs_to_ieee(kernel.lower(r)))
     return out
 
 
@@ -202,46 +253,60 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
-    unit = unit if unit is not None else FcsFmaUnit()
-    if not use_batch:
-        requested = backend = "faithful"
-    else:
-        requested = requested_backend(backend)
-        backend = resolve_backend(requested)
-    kernel = kernel_for(unit) if backend != "faithful" else None
-    tm = _tm.ACTIVE
-    if tm is not None:
-        tm.count("batch.dot.calls")
-        tm.count(f"batch.dot.elements.{unit.params.name}", len(a))
-        if kernel is None:
-            tm.count("batch.dot.fallback_scalar")
+    unit, kernel, vk, tm = _dispatch("dot", unit, len(a), use_batch,
+                                     backend, VECTOR_MIN_DOT_LEN)
     if kernel is None:
         acc = ieee_to_cs(FPValue.zero(BINARY64), unit.params)
         for ai, bi in zip(a, b):
             acc = unit.fma(acc, ai, ieee_to_cs(bi, unit.params))
         return cs_to_ieee(acc)
-    if backend == "vector":
-        reason = _vector_blocked()
-        if (reason is None and requested != "vector"
-                and len(a) < VECTOR_MIN_DOT_LEN):
-            reason = "small-batch"
-        vk = None
-        if reason is None:
-            from .vector import vector_kernel_for
-
-            vk = vector_kernel_for(unit)
-            if vk is None:
-                reason = "no-kernel"
-        if reason is None:
-            if tm is not None:
-                tm.count("batch.vector.lanes")
-            with _tm.span("batch.dot.kernel"):
-                acc = vk.dot_hybrid(a, b)
-            return cs_to_ieee(kernel.lower(acc))
-        _count_fallback(tm, reason)
+    if vk is not None and tm is not None:
+        tm.count("batch.vector.lanes")
     with _tm.span("batch.dot.kernel"):
-        acc = kernel.dot_tuple(a, b)
+        acc = (vk.dot_hybrid(a, b) if vk is not None
+               else kernel.dot_tuple(a, b))
     return cs_to_ieee(kernel.lower(acc))
+
+
+def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+              unit: CSFmaUnit | None = None, *,
+              use_batch: bool = True,
+              backend: str | None = None) -> list[int]:
+    """Independent fused dots ``sum_t a[i][t] * b[i][t]`` over binary64
+    bit-pattern vectors, one result bit pattern per lane.
+
+    A payload the vector gate admits (:data:`VECTOR_MIN_DOT_LANES` lanes
+    or more, or pinned) runs as one padded ``(T, N)`` word-plane pass
+    through :meth:`VectorCSKernel.dot_many_words`; otherwise each lane is
+    one :func:`dot_batch` call.
+    """
+    if len(a) != len(b):
+        raise ValueError("lane count mismatch")
+    unit = unit if unit is not None else FcsFmaUnit()
+    vk = None
+    if use_batch and a:
+        requested = requested_backend(backend)
+        if resolve_backend(requested) == "vector":
+            # counted per lane instead: a declined payload runs lane by
+            # lane through dot_batch, whose own gate counts each fallback
+            vk = _vector_gate(unit, len(a), VECTOR_MIN_DOT_LANES,
+                              requested == "vector", None)
+    if vk is None:
+        return [fp_to_word(dot_batch([word_to_fp(w) for w in aw],
+                                     [word_to_fp(w) for w in bw], unit,
+                                     use_batch=use_batch, backend=backend))
+                for aw, bw in zip(a, b)]
+    from .vector import np
+
+    lens = [len(aw) for aw in a]
+    aw = np.zeros((max(lens), len(a)), np.uint64)
+    bw = np.zeros_like(aw)
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        aw[:lens[i], i] = ai
+        bw[:lens[i], i] = bi
+    lower = vk.kernel.lower
+    return [fp_to_word(cs_to_ieee(lower(t)))
+            for t in vk.dot_many_words(aw, bw, lens=lens)]
 
 
 def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],

@@ -42,10 +42,10 @@ import threading
 from types import SimpleNamespace
 
 from ..fp.formats import BINARY64
-from ..fp.value import FpClass, FPValue
+from ..fp.value import fp_to_word, word_to_fp
 from ..telemetry import core as _tm
 from .cskernel import (CS_INF, CS_NAN, CS_NORMAL, CS_ZERO, FastCSKernel,
-                       bit_positions, kernel_for)
+                       kernel_for)
 
 try:  # soft dependency: the dispatch layer degrades to the tuple kernel
     import numpy as np
@@ -687,61 +687,7 @@ class VectorCSKernel:
                 "rs": np.where(normal, w["rs"], _U64(0)),
                 "rc": np.where(normal, w["rc"], _U64(0)), "sh": sh}
 
-    # -- lifts / lowers --------------------------------------------------
-
-    def lift_cs_lanes(self, values, unit):
-        """CSFloat/FPValue sequence -> (cols, special mask)."""
-        from ..fma.formats import CSFloat
-
-        n = len(values)
-        cls = np.zeros(n, np.int64)
-        exp = np.zeros(n, np.int64)
-        sh = np.zeros(n, np.int64)
-        m = np.zeros((n, self.MD), np.uint64)
-        mc = np.zeros((n, self.MD), np.uint64)
-        rs = np.zeros(n, np.uint64)
-        rc = np.zeros(n, np.uint64)
-        special = np.zeros(n, bool)
-        BB = self.BB
-        dm = (1 << BB) - 1
-        kernel = self.kernel
-        for i, v in enumerate(values):
-            if isinstance(v, CSFloat):
-                t = kernel.lift_cs(v)
-            else:
-                t = kernel.lift_ieee(v)
-            cls[i] = t[0]
-            if t[0] == CS_NORMAL:
-                exp[i] = t[1]
-                ms, mcs = t[2], t[3]
-                for j in range(self.MD):
-                    m[i, j] = (ms >> (BB * j)) & dm
-                    mc[i, j] = (mcs >> (BB * j)) & dm
-                rs[i] = t[4]
-                rc[i] = t[5]
-            else:
-                sh[i] = t[6]
-                special[i] = t[0] in (CS_INF, CS_NAN)
-        return ({"cls": cls, "exp": exp, "m": m, "mc": mc, "rs": rs,
-                 "rc": rc, "sh": sh}, special)
-
-    def lift_b_lanes(self, values):
-        """IEEE ``B`` sequence -> (cols, special mask)."""
-        n = len(values)
-        cls = np.zeros(n, np.int64)
-        sign = np.zeros(n, np.uint64)
-        exp = np.zeros(n, np.int64)
-        sig = np.zeros(n, np.uint64)
-        special = np.zeros(n, bool)
-        for i, v in enumerate(values):
-            t = self.kernel.lift_b(v)
-            cls[i] = t[0]
-            sign[i] = t[1]
-            exp[i] = t[2]
-            sig[i] = t[3]
-            special[i] = t[0] in (CS_INF, CS_NAN)
-        return ({"cls": cls, "sign": sign, "exp": exp, "sig": sig},
-                special)
+    # -- lowers ----------------------------------------------------------
 
     def lower_lanes(self, cols):
         """CS cols -> list of internal kernel tuples."""
@@ -766,41 +712,6 @@ class VectorCSKernel:
         return out
 
     # -- fused dot products, lanes in parallel --------------------------
-
-    def _dot_inputs(self, a_lanes, b_lanes):
-        """Stage the per-(step, lane) element planes for :meth:`dot_many`.
-
-        Returns ``None`` for lanes the chain does not model (non-finite
-        or non-binary64 elements) via the ``defer`` mask, plus padded
-        ``(T, N)`` element arrays and the precomputed full-width product
-        planes."""
-        N = len(a_lanes)
-        lens = np.array([len(a) for a in a_lanes], np.int64)
-        T = int(lens.max()) if N else 0
-        defer = np.zeros(N, bool)
-        asig = np.zeros((T, N), np.uint64)
-        asign = np.zeros((T, N), np.uint64)
-        aexp = np.zeros((T, N), np.int64)
-        bsig = np.zeros((T, N), np.uint64)
-        bsign = np.zeros((T, N), np.uint64)
-        bexp = np.zeros((T, N), np.int64)
-        one = 1 << 52
-        for i, (av, bv) in enumerate(zip(a_lanes, b_lanes)):
-            for t, (ai, bi) in enumerate(zip(av, bv)):
-                if (ai.fmt is not BINARY64 or bi.fmt is not BINARY64
-                        or ai.cls not in (FpClass.NORMAL, FpClass.ZERO)
-                        or bi.cls not in (FpClass.NORMAL, FpClass.ZERO)):
-                    defer[i] = True
-                    break
-                if ai.cls is FpClass.NORMAL:
-                    asig[t, i] = ai.fraction | one
-                    asign[t, i] = ai.sign
-                    aexp[t, i] = ai.biased_exponent - 1023
-                if bi.cls is FpClass.NORMAL:
-                    bsig[t, i] = bi.fraction | one
-                    bsign[t, i] = bi.sign
-                    bexp[t, i] = bi.biased_exponent - 1023
-        return lens, T, defer, asig, asign, aexp, bsig, bsign, bexp
 
     def _dot_products(self, asig, asign, bsig, bsign):
         """Precompute every step's full-width product planes.
@@ -836,65 +747,10 @@ class VectorCSKernel:
         return (S.reshape(T, N, self.D), C.reshape(T, N, self.D),
                 flat_p.reshape(T, N))
 
-    def _dot_run(self, lens, defer, planes, scalar_cb):
-        """Shared chain driver for :meth:`dot_many` / :meth:`dot_many_words`:
-        products, the sequential window chain, and scalar redo of
-        deferred/overflowed lanes via ``scalar_cb(i)``."""
-        asig, asign, aexp, bsig, bsign, bexp = planes
-        N = lens.shape[0]
-        T = asig.shape[0]
-        if T == 0:
-            defer = np.ones(N, bool)    # all-empty dots: trivial scalar
-        n_spec = int(defer.sum())
-        out = [None] * N
-        live = np.flatnonzero(~defer)
-        if live.size and T:
-            if defer.any():
-                sub = (asig[:, live], asign[:, live], aexp[:, live],
-                       bsig[:, live], bsign[:, live], bexp[:, live])
-                asig, asign, aexp, bsig, bsign, bexp = sub
-            S_all, C_all, p_all = self._dot_products(asig, asign, bsig,
-                                                     bsign)
-            u_all = (aexp + bexp - (self.bsig - 1) - self.frac)
-            res = self._dot_chain(lens[live], S_all, C_all, p_all, u_all)
-            tuples, dead = res
-            for k, i in enumerate(live):
-                if dead[k]:
-                    defer[i] = True
-                else:
-                    out[i] = tuples[k]
-        tm = _tm.ACTIVE
-        if tm is not None:
-            n_def = int(defer.sum())
-            tm.count("batch.vector.lanes", N - n_def)
-            if n_def:
-                tm.count("batch.vector.deferred", n_def)
-                if n_spec:
-                    tm.count("batch.vector.deferred.special", n_spec)
-                if n_def - n_spec:
-                    tm.count("batch.vector.deferred.window-overflow",
-                             n_def - n_spec)
-        for i in np.flatnonzero(defer):
-            out[i] = scalar_cb(int(i))
-        return out
-
-    def dot_many(self, a_lanes, b_lanes):
-        """Independent fused dot products, one lane per row; returns a
-        list of internal accumulator tuples, each bit-identical to
-        :meth:`FastCSKernel.dot_tuple` on the same lane."""
-        N = len(a_lanes)
-        if N == 0:
-            return []
-        (lens, T, defer, asig, asign, aexp, bsig, bsign,
-         bexp) = self._dot_inputs(a_lanes, b_lanes)
-        return self._dot_run(
-            lens, defer, (asig, asign, aexp, bsig, bsign, bexp),
-            lambda i: self.kernel.dot_tuple(a_lanes[i], b_lanes[i]))
-
     def _word_planes(self, w, live):
         """Classify one ``(T, N)`` word plane: ``(sig, sign, exp,
         special)`` with subnormals flushed to signed zero (the loader
-        semantics of ``repro.serve.protocol.word_to_fp``)."""
+        semantics of :func:`repro.fp.word_to_fp`)."""
         be = (w >> _U64(52)) & _U64(0x7FF)
         nrm = (be != 0) & (be != _U64(0x7FF)) & live
         spec = (be == _U64(0x7FF)) & live
@@ -905,12 +761,14 @@ class VectorCSKernel:
         return sig, sign, exp, spec
 
     def dot_many_words(self, a_words, b_words, lens=None):
-        """:meth:`dot_many` over padded ``(T, N)`` binary64 bit-word
-        planes (step-major -- the serve wire format, fully vectorized
-        staging).  Lane ``i`` consumes the first ``lens[i]`` steps; the
-        result is bit-identical to ``dot_tuple`` over ``word_to_fp`` of
-        each element (subnormal encodings flush to signed zero, lanes
-        containing Inf/NaN defer to the scalar kernel)."""
+        """Independent fused dot products over padded ``(T, N)`` binary64
+        bit-word planes (step-major -- the serve wire format, fully
+        vectorized staging), one lane per column.  Lane ``i`` consumes
+        the first ``lens[i]`` steps.  Returns a list of internal
+        accumulator tuples, each bit-identical to ``dot_tuple`` over
+        ``word_to_fp`` of the lane's elements (subnormal encodings flush
+        to signed zero; lanes containing Inf/NaN, and lanes whose chain
+        overflows, are redone on the scalar kernel)."""
         a_words = np.ascontiguousarray(a_words, np.uint64)
         b_words = np.ascontiguousarray(b_words, np.uint64)
         if a_words.shape != b_words.shape or a_words.ndim != 2:
@@ -926,17 +784,41 @@ class VectorCSKernel:
         asig, asign, aexp, spec_a = self._word_planes(a_words, step_live)
         bsig, bsign, bexp, spec_b = self._word_planes(b_words, step_live)
         defer = (spec_a | spec_b).any(axis=0)
-
-        def scalar_cb(i):
-            from ..serve.protocol import word_to_fp
+        if T == 0:
+            defer[:] = True     # all-empty dots: trivial scalar
+        n_spec = int(defer.sum())
+        out = [None] * N
+        live = np.flatnonzero(~defer)
+        if live.size:
+            S_all, C_all, p_all = self._dot_products(
+                asig[:, live], asign[:, live], bsig[:, live],
+                bsign[:, live])
+            u_all = (aexp[:, live] + bexp[:, live]
+                     - (self.bsig - 1) - self.frac)
+            tuples, dead = self._dot_chain(lens[live], S_all, C_all, p_all,
+                                           u_all)
+            for k, i in enumerate(live.tolist()):
+                if dead[k]:
+                    defer[i] = True
+                else:
+                    out[i] = tuples[k]
+        tm = _tm.ACTIVE
+        if tm is not None:
+            n_def = int(defer.sum())
+            tm.count("batch.vector.lanes", N - n_def)
+            if n_def:
+                tm.count("batch.vector.deferred", n_def)
+                if n_spec:
+                    tm.count("batch.vector.deferred.special", n_spec)
+                if n_def - n_spec:
+                    tm.count("batch.vector.deferred.window-overflow",
+                             n_def - n_spec)
+        for i in np.flatnonzero(defer).tolist():
             L = int(lens[i])
-            av = [word_to_fp(int(a_words[t, i])) for t in range(L)]
-            bv = [word_to_fp(int(b_words[t, i])) for t in range(L)]
-            return self.kernel.dot_tuple(av, bv)
-
-        return self._dot_run(
-            lens, defer, (asig, asign, aexp, bsig, bsign, bexp),
-            scalar_cb)
+            out[i] = self.kernel.dot_tuple(
+                [word_to_fp(w) for w in a_words[:L, i].tolist()],
+                [word_to_fp(w) for w in b_words[:L, i].tolist()])
+        return out
 
     def _dot_chain(self, lens, S_all, C_all, p_all, u_all):
         """The sequential accumulator chain over vectorized lanes."""
@@ -1020,9 +902,14 @@ class VectorCSKernel:
         recurrence stays scalar via product injection into
         :meth:`FastCSKernel.fma`.  Bit-identical to ``dot_tuple``."""
         kernel = self.kernel
-        res = self._dot_inputs([a], [b])
-        lens, T, defer, asig, asign, aexp, bsig, bsign, bexp = res
-        if defer[0] or T == 0:
+        T = len(a)
+        if T == 0 or any(x.fmt is not BINARY64 for x in (*a, *b)):
+            return kernel.dot_tuple(a, b)
+        asig, asign, _ae, spec_a = self._word_planes(
+            np.array([fp_to_word(x) for x in a], np.uint64)[:, None], True)
+        bsig, bsign, _be, spec_b = self._word_planes(
+            np.array([fp_to_word(x) for x in b], np.uint64)[:, None], True)
+        if spec_a.any() or spec_b.any():    # Inf/NaN element
             return kernel.dot_tuple(a, b)
         S_all, C_all, p_all = self._dot_products(asig, asign, bsig,
                                                  bsign)

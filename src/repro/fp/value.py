@@ -268,6 +268,47 @@ class FPValue:
         return f"FPValue({self.fmt.name}, {self.cls.name}, sign={self.sign})"
 
 
+# ---------------------------------------------------------------------------
+# binary64 word codec: the one boundary format between the serving layer
+# (hex words on the wire) and the batch kernels (uint64 lane arrays)
+
+_WORD_MASK = (1 << 64) - 1
+_FRAC_MASK = (1 << 52) - 1
+_QNAN = 0x7FF8000000000000
+
+
+def fp_to_word(x: FPValue) -> int:
+    """IEEE binary64 bit pattern of a binary64 ``x`` (NaN canonicalized
+    to the quiet NaN, matching the golden-vector corpus; *not* the
+    FloPoCo :meth:`FPValue.pack` word, which carries two extra exception
+    bits)."""
+    if x.is_nan:
+        return _QNAN
+    if x.is_inf:
+        return (x.sign << 63) | 0x7FF0000000000000
+    if x.is_zero:
+        return x.sign << 63
+    return (x.sign << 63) | (x.biased_exponent << 52) | x.fraction
+
+
+def word_to_fp(word: int) -> FPValue:
+    """Decode an IEEE binary64 bit pattern exactly.
+
+    Subnormal encodings flush to signed zero -- the same loader
+    semantics as :meth:`FPValue.from_float` and the FloPoCo-style models.
+    """
+    word &= _WORD_MASK
+    sign = (word >> 63) & 1
+    be = (word >> 52) & 0x7FF
+    frac = word & _FRAC_MASK
+    if be == 0x7FF:
+        return (FPValue.nan(BINARY64) if frac
+                else FPValue.inf(BINARY64, sign))
+    if be == 0:  # subnormal or zero: flush, preserving the sign
+        return FPValue.zero(BINARY64, sign)
+    return FPValue.from_parts(BINARY64, sign, be, frac)
+
+
 def _ilog2(mag: Fraction) -> int:
     """floor(log2(mag)) for a positive rational, computed exactly."""
     num, den = mag.numerator, mag.denominator

@@ -32,7 +32,7 @@ carrying the resilient error record's ``kind``.
 
 from __future__ import annotations
 
-from ..batch import dot_batch, fma_batch
+from ..batch import dot_words, fma_words
 from ..fma.accumulator import PcsAccumulator
 from ..fma.classic import ClassicFmaUnit
 from ..fma.convert import cs_to_ieee, ieee_to_cs
@@ -81,69 +81,17 @@ def _exec_fma(fmt: str, items, use_batch: bool,
             r = unit.fma(word_to_fp(a), word_to_fp(b), word_to_fp(c))
             out.append(("ok", fp_to_word(r)))
         return out
-    a = [word_to_fp(w) for w, _b, _c in items]
-    b = [word_to_fp(w) for _a, w, _c in items]
-    c = [word_to_fp(w) for _a, _b, w in items]
-    results = fma_batch(a, b, c, unit=unit, use_batch=use_batch,
-                        backend=backend)
-    return [("ok", fp_to_word(cs_to_ieee(r))) for r in results]
-
-
-#: below this lane count the vector dot engine's per-step ndarray
-#: overhead loses to per-lane tuple evaluation, so the payload falls
-#: through to :func:`repro.batch.dot_batch` (which dispatches per lane).
-VECTOR_MIN_DOT_LANES = 32
-
-
-def _exec_dot_vector(unit, items) -> "list | None":
-    """Whole-payload vector evaluation of a coalesced dot batch: the
-    word vectors go straight into :meth:`VectorCSKernel.dot_many_words`
-    (no per-element ``word_to_fp``).  ``None`` -> caller falls through
-    to the per-lane path (vector unavailable or armed probes/guard)."""
-    from .. import probes
-    from ..guard import residue as _gd
-
-    if probes.ARMED is not None or _gd.ACTIVE is not None:
-        return None
-    from ..batch.vector import np, vector_kernel_for
-
-    vk = vector_kernel_for(unit)
-    if vk is None:
-        return None
-    lens = [len(aw) for aw, _bw, _c in items]
-    T = max(lens)
-    N = len(items)
-    a = np.zeros((T, N), np.uint64)
-    b = np.zeros((T, N), np.uint64)
-    for i, (aw, bw, _c) in enumerate(items):
-        if lens[i]:
-            a[:lens[i], i] = aw
-            b[:lens[i], i] = bw
-    tuples = vk.dot_many_words(a, b, lens=np.asarray(lens, np.int64))
-    lower = vk.kernel.lower
-    return [("ok", fp_to_word(cs_to_ieee(lower(t)))) for t in tuples]
+    words = fma_words([a for a, _b, _c in items], [b for _a, b, _c in items],
+                      [c for _a, _b, c in items], unit,
+                      use_batch=use_batch, backend=backend)
+    return [("ok", w) for w in words]
 
 
 def _exec_dot(fmt: str, items, use_batch: bool,
               backend: str | None = None) -> list:
-    unit = _units()[fmt]
-    if use_batch and items:
-        from ..batch.engines import requested_backend, resolve_backend
-
-        requested = requested_backend(backend)
-        if (resolve_backend(requested) == "vector"
-                and (requested == "vector"
-                     or len(items) >= VECTOR_MIN_DOT_LANES)):
-            out = _exec_dot_vector(unit, items)
-            if out is not None:
-                return out
-    out = []
-    for aw, bw, _c in items:
-        a = [word_to_fp(w) for w in aw]
-        b = [word_to_fp(w) for w in bw]
-        out.append(("ok", fp_to_word(dot_batch(
-            a, b, unit=unit, use_batch=use_batch, backend=backend))))
-    return out
+    words = dot_words([a for a, _b, _c in items], [b for _a, b, _c in items],
+                      _units()[fmt], use_batch=use_batch, backend=backend)
+    return [("ok", w) for w in words]
 
 
 def _exec_acc(items, use_batch: bool) -> list:

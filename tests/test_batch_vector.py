@@ -31,7 +31,7 @@ from repro.batch import (BACKENDS, dot_batch, fma_batch, resolve_backend,
                          vector_available, vector_kernel_for)
 from repro.batch.engines import BACKEND_ENV
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
-from repro.fp import BINARY64, FPValue
+from repro.fp import BINARY32, BINARY64, FPValue
 from repro.guard.residue import guarding
 from repro.telemetry import collecting
 
@@ -216,14 +216,24 @@ class TestArmedFallback:
         assert word_of(plain) == word_of(guarded)
 
     def test_serve_vector_path_declines_when_armed(self):
-        from repro.serve.executor import _exec_dot_vector, _units
+        """A 40-lane dot payload clears the coalesced-lane gate; armed,
+        it must run lane by lane on the tuple kernel, with the fallback
+        counted and the records unchanged."""
+        from repro.serve.executor import execute_payload
 
-        unit = _units()["pcs"]
-        items = [([w, w], [w, w], None)
-                 for w in [0x3FF0000000000000] * 40]
-        assert _exec_dot_vector(unit, items) is not None
-        with probes.armed({"test.never-fired": probes.Arm(lambda v: v)}):
-            assert _exec_dot_vector(unit, items) is None
+        w = 0x3FF0000000000000
+        payload = {"op": "dot", "fmt": "pcs", "backend": "auto",
+                   "items": [([w, w], [w, w], None)] * 40}
+        with collecting() as t:
+            plain = execute_payload(payload)
+        assert t.snapshot().counters.get("batch.vector.lanes", 0) == 40
+        with collecting() as t:
+            with probes.armed({"test.never-fired": probes.Arm(lambda v: v)}):
+                armed_out = execute_payload(payload)
+        counters = t.snapshot().counters
+        assert armed_out == plain
+        assert counters.get("batch.vector.fallback.armed-probes", 0) == 40
+        assert counters.get("batch.vector.lanes", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +289,19 @@ class TestBackendDispatch:
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_backends_agree_on_small_batch(self, unit):
-        a, b, c = ([from_word(int(x[k], 16)) for x in CASES[:8]]
-                   for k in "abc")
-        words = {}
-        for backend in ("vector", "tuple", "faithful"):
-            out = fma_batch(a, b, c, unit=unit, backend=backend)
-            words[backend] = [word_of(cs_to_ieee(r)) for r in out]
-        assert words["vector"] == words["tuple"] == words["faithful"]
+        """Also over binary32 operands: those have no binary64 word, so
+        the vector backend must defer their lanes to the scalar kernel
+        rather than pack their fields into one."""
+        for fmt in (BINARY64, BINARY32):
+            a, b, c = ([FPValue.from_float(from_word(int(x[k], 16))
+                                           .to_float(), fmt)
+                        for x in CASES[:8]] for k in "abc")
+            words = {}
+            for backend in ("vector", "tuple", "faithful"):
+                out = fma_batch(a, b, c, unit=unit, backend=backend)
+                words[backend] = [word_of(cs_to_ieee(r)) for r in out]
+            assert words["vector"] == words["tuple"] == words["faithful"], (
+                fmt.name)
 
     def test_auto_small_batch_takes_tuple(self, monkeypatch):
         """Under ``auto`` the per-fma staging cost makes small batches
