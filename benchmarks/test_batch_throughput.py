@@ -190,7 +190,7 @@ class TestFmaThroughput:
     def test_scalar_fma_loop(self, benchmark, unit):
         a, b = make_vectors(256, seed=3)
         c, _ = make_vectors(256, seed=4)
-        out = benchmark(fma_batch, a, b, c, unit=unit, use_batch=False)
+        out = benchmark(fma_batch, a, b, c, unit=unit, backend="faithful")
         assert len(out) == 256
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)

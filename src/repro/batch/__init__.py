@@ -12,8 +12,8 @@ call:
   twins (the serving layer's boundary);
 * :func:`accelerate_engine` plus the ``Fast*Engine`` classes -- drop-in
   fast twins of the :class:`~repro.fma.chain.FmaEngine` family, used by
-  the ``use_batch=`` switches in ``hls.simulate``/``hls.execute`` and
-  ``experiments.fig14``;
+  ``hls.simulate``/``hls.execute`` and ``experiments.fig14`` unless
+  ``REPRO_BATCH_BACKEND=faithful``;
 * :class:`FastCSKernel` -- the tuple-based PCS/FCS datapath kernel
   (compiled Wallace trees, SWAR Carry Reduce, closed-form Zero Detect);
 * the integer IEEE kernels (:func:`fp_add_fast` & co.) backing the

@@ -4,8 +4,8 @@
 
 Each function evaluates many operations through the fast kernels of
 :mod:`repro.batch` while remaining bit-identical to the corresponding
-scalar loop over the faithful models (``use_batch=False`` literally runs
-that loop, which is what the differential tests compare against).
+scalar loop over the faithful models (``backend="faithful"`` literally
+runs that loop, which is what the differential tests compare against).
 
 The word entry points are the serving layer's boundary: binary64 bit
 patterns in, bit patterns out.  On the vector engine they stay on
@@ -71,17 +71,13 @@ def _vector_gate(unit, n: int, minimum: int, pinned: bool, tm):
     return None
 
 
-def _dispatch(op: str, unit, n: int, use_batch: bool, backend,
-              minimum: int):
+def _dispatch(op: str, unit, n: int, backend, minimum: int):
     """Resolve one batch call to ``(unit, kernel, vk, tm)``: ``kernel``
     is ``None`` on the faithful path, ``vk`` the vector lane kernel when
     the call may use it."""
     unit = unit if unit is not None else FcsFmaUnit()
-    if not use_batch:
-        requested = backend = "faithful"
-    else:
-        requested = requested_backend(backend)
-        backend = resolve_backend(requested)
+    requested = requested_backend(backend)
+    backend = resolve_backend(requested)
     kernel = kernel_for(unit) if backend != "faithful" else None
     tm = _tm.ACTIVE
     if tm is not None:
@@ -154,7 +150,6 @@ def _fma_cols(vk, aw, bw, cw, defer, tm):
 def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
               c: Sequence["CSFloat | FPValue"],
               unit: CSFmaUnit | None = None, *,
-              use_batch: bool = True,
               backend: str | None = None) -> list[CSFloat]:
     """Evaluate independent ``a[i] + b[i] * c[i]`` through one CS unit.
 
@@ -162,14 +157,14 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
     ``b`` stays IEEE as in the hardware.  Bit-identical to calling
     ``unit.fma`` element by element.  ``backend`` selects the evaluation
     machinery (:data:`repro.batch.engines.BACKENDS`; ``None`` honours
-    ``REPRO_BATCH_BACKEND``); ``use_batch=False`` forces ``faithful``.
+    ``REPRO_BATCH_BACKEND``).
     On the vector engine, lanes with a CS or non-binary64 operand have
     no word encoding and take the tuple kernel.
     """
     if not (len(a) == len(b) == len(c)):
         raise ValueError("operand vector length mismatch")
-    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), use_batch,
-                                     backend, VECTOR_MIN_FMA_LANES)
+    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), backend,
+                                     VECTOR_MIN_FMA_LANES)
     if vk is None:
         return _fma_scalar(unit, kernel, a, b, c)
     from .vector import np
@@ -204,7 +199,6 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
 
 def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
               unit: CSFmaUnit | None = None, *,
-              use_batch: bool = True,
               backend: str | None = None) -> list[int]:
     """:func:`fma_batch` over binary64 bit patterns, returning the
     bit pattern of each lane's IEEE result (``cs_to_ieee``).
@@ -217,8 +211,8 @@ def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
     """
     if not (len(a) == len(b) == len(c)):
         raise ValueError("operand vector length mismatch")
-    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), use_batch,
-                                     backend, VECTOR_MIN_FMA_LANES)
+    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), backend,
+                                     VECTOR_MIN_FMA_LANES)
     if vk is None:
         out = _fma_scalar(unit, kernel, [word_to_fp(w) for w in a],
                           [word_to_fp(w) for w in b],
@@ -239,7 +233,6 @@ def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
 
 def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
               unit: CSFmaUnit | None = None, *,
-              use_batch: bool = True,
               backend: str | None = None) -> FPValue:
     """Fused inner product ``sum_i a[i] * b[i]``.
 
@@ -253,8 +246,8 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
-    unit, kernel, vk, tm = _dispatch("dot", unit, len(a), use_batch,
-                                     backend, VECTOR_MIN_DOT_LEN)
+    unit, kernel, vk, tm = _dispatch("dot", unit, len(a), backend,
+                                     VECTOR_MIN_DOT_LEN)
     if kernel is None:
         acc = ieee_to_cs(FPValue.zero(BINARY64), unit.params)
         for ai, bi in zip(a, b):
@@ -270,7 +263,6 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
 
 def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
               unit: CSFmaUnit | None = None, *,
-              use_batch: bool = True,
               backend: str | None = None) -> list[int]:
     """Independent fused dots ``sum_t a[i][t] * b[i][t]`` over binary64
     bit-pattern vectors, one result bit pattern per lane.
@@ -284,7 +276,7 @@ def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
         raise ValueError("lane count mismatch")
     unit = unit if unit is not None else FcsFmaUnit()
     vk = None
-    if use_batch and a:
+    if a:
         requested = requested_backend(backend)
         if resolve_backend(requested) == "vector":
             # counted per lane instead: a declined payload runs lane by
@@ -294,7 +286,7 @@ def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
     if vk is None:
         return [fp_to_word(dot_batch([word_to_fp(w) for w in aw],
                                      [word_to_fp(w) for w in bw], unit,
-                                     use_batch=use_batch, backend=backend))
+                                     backend=backend))
                 for aw, bw in zip(a, b)]
     from .vector import np
 
@@ -311,12 +303,14 @@ def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
 
 def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
                      acc: PcsAccumulator | None = None, *,
-                     use_batch: bool = True) -> PcsAccumulator:
+                     backend: str | None = None) -> PcsAccumulator:
     """Accumulate all products ``a[i] * b[i]`` into a [12]-style MAC.
 
     Bit-identical to calling :meth:`PcsAccumulator.accumulate` per pair
     (one singly-rounded binary64 multiply feeding the carry-free window
-    add); returns the accumulator for chaining.
+    add), which is what ``backend="faithful"`` runs; every other backend
+    takes the single-pass SWAR loop.  Returns the accumulator for
+    chaining.
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
@@ -325,7 +319,7 @@ def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     if _tm.ACTIVE is not None:
         _tm.ACTIVE.count("batch.acc.calls")
         _tm.ACTIVE.count("batch.acc.elements", len(a))
-    if not use_batch:
+    if resolve_backend(backend) == "faithful":
         for ai, bi in zip(a, b):
             acc.accumulate(ai, bi)
         return acc

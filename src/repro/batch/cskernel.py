@@ -130,8 +130,11 @@ class FastCSKernel:
         if x.cls is not FpClass.NORMAL:
             return (x.cls.value, 0, 0, 0, 0, 0, x.sign)
         fmt = x.fmt
-        m = (x.fraction | (1 << fmt.fraction_bits)) << (
-            self.frac - fmt.fraction_bits)
+        shift = self.frac - fmt.fraction_bits
+        if shift < 0:
+            raise ValueError(f"{fmt.name} significand too wide for "
+                             f"{self.params.name} operand")
+        m = (x.fraction | (1 << fmt.fraction_bits)) << shift
         if x.sign:
             m = -m
         return (CS_NORMAL, x.biased_exponent - fmt.bias,
@@ -444,8 +447,10 @@ class FastCSKernel:
         lift_b = self.lift_b
         acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
         one = 1 << 52
+        inline = shift >= 0     # else lift_ieee raises the unit's error
         for ai, bi in zip(a, b):
-            if (ai.cls is FpClass.NORMAL and bi.cls is FpClass.NORMAL
+            if (inline and ai.cls is FpClass.NORMAL
+                    and bi.cls is FpClass.NORMAL
                     and ai.fmt is BINARY64 and bi.fmt is BINARY64):
                 m = (bi.fraction | one) << shift
                 if bi.sign:

@@ -4,9 +4,10 @@ Every engine here reports the *same* ``name`` and produces *bit-identical*
 results to its faithful counterpart in :mod:`repro.fma.chain`; only the
 evaluation machinery changes (tuple-based CS kernel, integer IEEE
 kernels).  :func:`accelerate_engine` maps a stock engine to its fast twin
-and is what the ``use_batch=`` switches in the HLS simulator/executor
-and the Fig. 14 sweep call; engines it does not recognize (subclasses
-with overridden behaviour, already-fast engines) pass through untouched.
+and is what the HLS simulator/executor and the Fig. 14 sweep call; it
+honours ``REPRO_BATCH_BACKEND=faithful`` by returning the stock engine,
+and engines it does not recognize (subclasses with overridden behaviour,
+already-fast engines) pass through untouched.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
 #
 # Three evaluation machineries produce bit-identical results:
 #
-# ``faithful``   the digit-level reference models (``use_batch=False``);
+# ``faithful``   the digit-level reference models (the oracle);
 # ``tuple``      the scalar fast kernels (:class:`FastCSKernel` tuples,
 #                integer IEEE kernels) -- always available;
 # ``vector``     the NumPy lane engine (:mod:`repro.batch.vector`) --
@@ -167,11 +168,12 @@ def accelerate_engine(engine: FmaEngine | None) -> FmaEngine | None:
 
     Exact-type matching keeps behaviour-overriding subclasses on the
     faithful path; strict-mode CS units (which raise on architectural
-    invariant violations the kernel does not model) also pass through.
+    invariant violations the kernel does not model) also pass through,
+    as does every engine when :data:`BACKEND_ENV` selects ``faithful``.
     ``None`` (graphs without carry-save nodes) stays ``None``.
     """
-    if engine is None:
-        return None
+    if engine is None or resolve_backend() == "faithful":
+        return engine
     t = type(engine)
     tm = _tm.ACTIVE
     if t is CSFmaEngine:

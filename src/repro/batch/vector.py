@@ -61,11 +61,13 @@ _VECTORS: dict[int, "VectorCSKernel"] = {}
 
 
 def vector_kernel_for(unit) -> "VectorCSKernel | None":
-    """Vector kernel matching ``unit`` or ``None`` (strict / no numpy)."""
+    """Vector kernel matching ``unit`` or ``None`` (strict, no numpy, or
+    a geometry whose A/C operand cannot hold a binary64 significand --
+    the lane engine lifts binary64 words only)."""
     if not HAVE_NUMPY:
         return None
     kernel = kernel_for(unit)
-    if kernel is None:
+    if kernel is None or kernel.ieee_shift < 0:
         return None
     key = id(kernel)
     vk = _VECTORS.get(key)

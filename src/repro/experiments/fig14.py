@@ -62,21 +62,19 @@ def _ulp_of(v: FPValue) -> Fraction:
 
 
 def run(runs: int = 20, steps: int = STEPS, seed0: int = 0,
-        engines: list[FmaEngine] | None = None, *,
-        use_batch: bool = True) -> list[Fig14Result]:
+        engines: list[FmaEngine] | None = None) -> list[Fig14Result]:
     """Run the accuracy study; golden reference = the 75b datapath
     (exactly the paper's methodology).
 
-    ``use_batch`` runs every engine (golden included) through its
-    bit-identical fast twin from :mod:`repro.batch`; the reported errors
-    are unchanged down to the last bit.
+    Every engine (golden included) runs as its bit-identical fast twin
+    from :mod:`repro.batch` unless ``REPRO_BATCH_BACKEND=faithful``; the
+    reported errors are the same down to the last bit.
     """
-    engines = engines if engines is not None else default_engines()
-    golden_engine = DiscreteMulAddEngine(EXTENDED75)
-    if use_batch:
-        from ..batch import accelerate_engine
-        engines = [accelerate_engine(e) for e in engines]
-        golden_engine = accelerate_engine(golden_engine)
+    from ..batch import accelerate_engine
+
+    engines = [accelerate_engine(e) for e in
+               (engines if engines is not None else default_engines())]
+    golden_engine = accelerate_engine(DiscreteMulAddEngine(EXTENDED75))
     sums = {e.name: Fraction(0) for e in engines}
     maxes = {e.name: Fraction(0) for e in engines}
     counted = 0

@@ -54,19 +54,17 @@ class ExecutionResult:
 def execute_schedule(graph: CDFG, schedule: Schedule,
                      library: OperatorLibrary,
                      inputs: Mapping[str, float],
-                     engine: FmaEngine | None = None, *,
-                     use_batch: bool = True) -> ExecutionResult:
+                     engine: FmaEngine | None = None) -> ExecutionResult:
     """Run a scheduled datapath cycle by cycle.
 
     Raises :class:`ScheduleViolation` if an operation issues before its
     operands are ready or a resource pool is oversubscribed in a cycle.
 
-    ``use_batch`` swaps recognized engines for their bit-identical fast
-    twins from :mod:`repro.batch`, as in :func:`repro.hls.simulate`.
+    Recognized engines run as their bit-identical fast twins, as in
+    :func:`repro.hls.simulate`.
     """
-    if use_batch and engine is not None:
-        from ..batch import accelerate_engine
-        engine = accelerate_engine(engine)
+    from ..batch import accelerate_engine
+    engine = accelerate_engine(engine)
     if schedule.graph is not graph:
         raise ValueError("schedule does not belong to this graph")
     missing = set(graph.nodes) - set(schedule.start)

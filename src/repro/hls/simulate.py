@@ -63,21 +63,20 @@ def eval_node(graph: CDFG, node: Node, values: dict[int, Any],
 
 
 def simulate(graph: CDFG, inputs: Mapping[str, float],
-             engine: FmaEngine | None = None, *,
-             use_batch: bool = True) -> dict[str, float]:
+             engine: FmaEngine | None = None) -> dict[str, float]:
     """Evaluate the graph; returns output name -> value.
 
     IEEE nodes use the bit-accurate binary64 operators; FMA/I2C/C2I
     nodes require ``engine`` (a :class:`~repro.fma.chain.FmaEngine`
     matching the FMA flavor the pass inserted).
 
-    ``use_batch`` swaps recognized engines for their bit-identical fast
-    twins from :mod:`repro.batch` (set it to ``False`` to force the
-    digit-level reference models).
+    Recognized engines run as their bit-identical fast twins from
+    :mod:`repro.batch` (:func:`~repro.batch.accelerate_engine`);
+    ``REPRO_BATCH_BACKEND=faithful`` keeps the digit-level reference
+    models.
     """
-    if use_batch and engine is not None:
-        from ..batch import accelerate_engine
-        engine = accelerate_engine(engine)
+    from ..batch import accelerate_engine
+    engine = accelerate_engine(engine)
     values: dict[int, Any] = {}
     for nid in graph.topological_order():
         values[nid] = eval_node(graph, graph.nodes[nid], values, inputs,

@@ -16,6 +16,7 @@ import asyncio
 import json
 import sys
 
+from ..batch.engines import BACKENDS
 from ..faults.resilient import RetryPolicy
 from .loadgen import LoadSpec, percentile, run_open_loop
 from .server import FmaServer, ServeConfig
@@ -51,14 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "(process isolation only)")
     ap.add_argument("--retries", type=int, default=2,
                     help="max attempts per batch (default 2)")
-    ap.add_argument("--no-kernels", action="store_true",
-                    help="serve through the faithful scalar models "
-                         "instead of the repro.batch kernels")
-    ap.add_argument("--backend", choices=("auto", "vector", "tuple",
-                                          "faithful"), default=None,
+    ap.add_argument("--backend", choices=BACKENDS, default=None,
                     help="default batch backend for requests that do "
                          "not pin one (default: auto, which prefers "
-                         "the NumPy vector engine)")
+                         "the NumPy vector engine; faithful serves "
+                         "through the scalar reference models)")
     ap.add_argument("--self-test", action="store_true",
                     help="run a seeded in-process workload and exit")
     ap.add_argument("--self-test-requests", type=int, default=500)
@@ -75,7 +73,6 @@ def _config(args) -> ServeConfig:
         slow_start=not args.no_slow_start,
         default_timeout_s=(None if args.default_timeout_ms is None
                            else args.default_timeout_ms / 1000.0),
-        use_batch=not args.no_kernels,
         backend=args.backend,
         isolation=args.isolation,
         exec_timeout_s=args.exec_timeout,

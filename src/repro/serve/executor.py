@@ -59,11 +59,10 @@ def _units():
 
 
 def payload_from_requests(op: str, fmt: str, requests: "list[Request]",
-                          use_batch: bool = True,
                           verify: str | None = None,
                           backend: str | None = None) -> dict:
     """Flatten one coalesced batch into a picklable payload dict."""
-    payload = {"op": op, "fmt": fmt, "use_batch": use_batch,
+    payload = {"op": op, "fmt": fmt,
                "items": [(r.a, r.b, r.c) for r in requests]}
     if verify is not None:
         payload["verify"] = verify
@@ -72,8 +71,7 @@ def payload_from_requests(op: str, fmt: str, requests: "list[Request]",
     return payload
 
 
-def _exec_fma(fmt: str, items, use_batch: bool,
-              backend: str | None = None) -> list:
+def _exec_fma(fmt: str, items, backend: str | None) -> list:
     unit = _units()[fmt]
     if fmt == "classic":
         out = []
@@ -82,19 +80,17 @@ def _exec_fma(fmt: str, items, use_batch: bool,
             out.append(("ok", fp_to_word(r)))
         return out
     words = fma_words([a for a, _b, _c in items], [b for _a, b, _c in items],
-                      [c for _a, _b, c in items], unit,
-                      use_batch=use_batch, backend=backend)
+                      [c for _a, _b, c in items], unit, backend=backend)
     return [("ok", w) for w in words]
 
 
-def _exec_dot(fmt: str, items, use_batch: bool,
-              backend: str | None = None) -> list:
+def _exec_dot(fmt: str, items, backend: str | None) -> list:
     words = dot_words([a for a, _b, _c in items], [b for _a, b, _c in items],
-                      _units()[fmt], use_batch=use_batch, backend=backend)
+                      _units()[fmt], backend=backend)
     return [("ok", w) for w in words]
 
 
-def _exec_acc(items, use_batch: bool) -> list:
+def _exec_acc(items, backend: str | None) -> list:
     from ..batch import accumulate_batch
 
     out = []
@@ -102,7 +98,7 @@ def _exec_acc(items, use_batch: bool) -> list:
         a = [word_to_fp(w) for w in aw]
         b = [word_to_fp(w) for w in bw]
         try:
-            acc = accumulate_batch(a, b, use_batch=use_batch)
+            acc = accumulate_batch(a, b, backend=backend)
             out.append(("ok", fp_to_word(acc.result())))
         except ArithmeticError as exc:
             out.append(("error", "exception",
@@ -121,14 +117,13 @@ def execute_payload(payload: dict) -> list:
     op = payload["op"]
     fmt = payload["fmt"]
     items = payload["items"]
-    use_batch = payload.get("use_batch", True)
     backend = payload.get("backend")
     if op == "fma":
-        return _exec_fma(fmt, items, use_batch, backend)
+        return _exec_fma(fmt, items, backend)
     if op == "dot":
-        return _exec_dot(fmt, items, use_batch, backend)
+        return _exec_dot(fmt, items, backend)
     if op == "acc":
-        return _exec_acc(items, use_batch)
+        return _exec_acc(items, backend)
     raise ValueError(f"unknown op {op!r}")
 
 

@@ -70,7 +70,6 @@ class ServeConfig:
     initial_window: int = 64
     min_window: int = 8
     default_timeout_s: float | None = None   # per-request budget
-    use_batch: bool = True           # fast kernels vs faithful loop
     backend: str | None = None       # default batch backend (None=auto)
     isolation: str = "inline"        # "inline" | "process"
     exec_timeout_s: float | None = None      # per-attempt (process mode)
@@ -259,7 +258,6 @@ class FmaServer:
             op, fmt = key.split(".")[:2]  # key may carry a verify level
             payload = payload_from_requests(
                 op, fmt, [e.req for e in live],
-                use_batch=self.config.use_batch,
                 verify=live[0].req.verify,
                 backend=live[0].req.backend or self.config.backend)
             t0 = time.perf_counter_ns()

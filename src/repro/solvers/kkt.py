@@ -62,19 +62,18 @@ def kkt_sparsity(problem: QPProblem, tol: float = 0.0) -> np.ndarray:
 
 
 def kkt_solve(problem: QPProblem, w_diag: np.ndarray, rhs: np.ndarray,
-              sym: SymbolicLDL | None = None, *, eps: float = 1e-7,
-              use_batch: bool = True) -> np.ndarray:
+              sym: SymbolicLDL | None = None, *,
+              eps: float = 1e-7) -> np.ndarray:
     """Assemble, factor and solve ``K x = rhs`` for one IPM iterate.
 
     Convenience wrapper over :func:`assemble_kkt` +
     :func:`~repro.solvers.ldl.numeric_ldl` +
     :func:`~repro.solvers.ldl.ldl_solve`; pass a precomputed ``sym`` to
     reuse the symbolic analysis (and its cached batch gather plan)
-    across iterations.  ``use_batch`` selects the vectorized
-    bit-identical fast path of :mod:`repro.batch`.
+    across iterations.
     """
     if sym is None:
         sym = symbolic_ldl(kkt_sparsity(problem))
     K = assemble_kkt(problem, w_diag, eps)
-    L, D = numeric_ldl(K, sym, use_batch=use_batch)
-    return ldl_solve(L, D, sym, rhs, use_batch=use_batch)
+    L, D = numeric_ldl(K, sym)
+    return ldl_solve(L, D, sym, rhs)

@@ -119,13 +119,13 @@ def symbolic_ldl(pattern: np.ndarray,
 
 
 def _batch_plan(sym: SymbolicLDL) -> dict:
-    """Static gather plan for the batched factor/solve kernels.
+    """Static gather plan for the batched factorization kernel.
 
     Everything here depends only on the sparsity (the CVXGEN premise:
     the elimination schedule is known ahead of time), so it is computed
     once per :class:`SymbolicLDL` and cached on the instance:
 
-    * per-row / per-column index arrays of L,
+    * per-row column indices of L and their flat entry numbers,
     * for every L entry ``(i, j)``, aligned gather positions of the
       update terms ``L[i,k] * L[j,k] * D[k]`` (``k`` in row ``i`` and
       row ``j``), in the same ``k`` order as the scalar loop.
@@ -134,7 +134,6 @@ def _batch_plan(sym: SymbolicLDL) -> dict:
     if plan is not None:
         return plan
     rows = sym.rows()
-    cols = sym.cols()
     entof = {ij: ent for ent, ij in enumerate(sym.l_pattern)}
     rowpos = [{k: t for t, k in enumerate(r)} for r in rows]
     by_col: list[list[tuple]] = [[] for _ in range(sym.n)]
@@ -152,21 +151,16 @@ def _batch_plan(sym: SymbolicLDL) -> dict:
                           np.asarray(pj, dtype=np.intp),
                           np.asarray(ks, dtype=np.intp)))
     plan = {
-        "rows": rows,
-        "cols": cols,
         "row_idx": [np.asarray(r, dtype=np.intp) for r in rows],
-        "col_idx": [np.asarray(c, dtype=np.intp) for c in cols],
         "row_ent": [np.asarray([entof[(i, j)] for j in rows[i]],
                                dtype=np.intp) for i in range(sym.n)],
-        "col_ent": [np.asarray([entof[(i, j)] for i in cols[j]],
-                               dtype=np.intp) for j in range(sym.n)],
         "by_col": by_col,
     }
     object.__setattr__(sym, "_batch_plan", plan)
     return plan
 
 
-def numeric_ldl(K: np.ndarray, sym: SymbolicLDL, *, use_batch: bool = True,
+def numeric_ldl(K: np.ndarray, sym: SymbolicLDL,
                 ) -> tuple[dict[tuple[int, int], float], np.ndarray]:
     """Factor ``K`` (symmetric, quasidefinite) as ``P' K P = L D L'``.
 
@@ -174,49 +168,11 @@ def numeric_ldl(K: np.ndarray, sym: SymbolicLDL, *, use_batch: bool = True,
     D.  No pivoting is performed -- exactly the static schedule the
     generated hardware/code uses.
 
-    ``use_batch`` evaluates the inner-product update terms through
-    vectorized elementwise gathers (:mod:`repro.batch` wiring).  The
-    term products and the serial subtraction order are unchanged, so
-    the factors are bit-identical to the scalar loop.
-    """
-    if use_batch:
-        return _numeric_ldl_batch(K, sym)
-    n = sym.n
-    perm = sym.order
-    Kp = K[np.ix_(perm, perm)]
-    rows = sym.rows()
-    L: dict[tuple[int, int], float] = {}
-    D = np.zeros(n)
-    for j in range(n):
-        # d_j = K_jj - sum_k L_jk^2 d_k
-        acc = Kp[j, j]
-        for k in rows[j]:
-            acc -= L[(j, k)] ** 2 * D[k]
-        if acc == 0.0:
-            raise ZeroDivisionError(
-                f"zero pivot at position {j}; regularize the KKT system")
-        D[j] = acc
-        # column j of L
-        for i, jj in sym.l_pattern:
-            if jj != j:
-                continue
-            s = Kp[i, j]
-            row_i = set(rows[i])
-            for k in rows[j]:
-                if k in row_i:
-                    s -= L[(i, k)] * L[(j, k)] * D[k]
-            L[(i, j)] = s / D[j]
-    return L, D
-
-
-def _numeric_ldl_batch(K: np.ndarray, sym: SymbolicLDL,
-                       ) -> tuple[dict[tuple[int, int], float], np.ndarray]:
-    """Batched twin of the scalar ``numeric_ldl`` loop.
-
     L values live in a flat array indexed by the static entry order;
-    each update term ``(L[i,k] * L[j,k]) * D[k]`` is formed elementwise
-    (same association as the scalar expression) and subtracted in the
-    same serial order, keeping every rounding identical.
+    each update term ``(L[i,k] * L[j,k]) * D[k]`` is formed by
+    vectorized elementwise gathers (same association as the scalar
+    expression) and subtracted in the same serial order, so the factors
+    are bit-identical to :func:`_numeric_ldl_reference`.
     """
     n = sym.n
     perm = sym.order
@@ -250,46 +206,50 @@ def _numeric_ldl_batch(K: np.ndarray, sym: SymbolicLDL,
     return L, D
 
 
+def _numeric_ldl_reference(K: np.ndarray, sym: SymbolicLDL,
+                           ) -> tuple[dict[tuple[int, int], float],
+                                      np.ndarray]:
+    """The scalar factorization loop: the reference :func:`numeric_ldl`
+    is differentially tested against."""
+    n = sym.n
+    perm = sym.order
+    Kp = K[np.ix_(perm, perm)]
+    rows = sym.rows()
+    L: dict[tuple[int, int], float] = {}
+    D = np.zeros(n)
+    for j in range(n):
+        # d_j = K_jj - sum_k L_jk^2 d_k
+        acc = Kp[j, j]
+        for k in rows[j]:
+            acc -= L[(j, k)] ** 2 * D[k]
+        if acc == 0.0:
+            raise ZeroDivisionError(
+                f"zero pivot at position {j}; regularize the KKT system")
+        D[j] = acc
+        # column j of L
+        for i, jj in sym.l_pattern:
+            if jj != j:
+                continue
+            s = Kp[i, j]
+            row_i = set(rows[i])
+            for k in rows[j]:
+                if k in row_i:
+                    s -= L[(i, k)] * L[(j, k)] * D[k]
+            L[(i, j)] = s / D[j]
+    return L, D
+
+
 def ldl_solve(L: dict[tuple[int, int], float], D: np.ndarray,
-              sym: SymbolicLDL, rhs: np.ndarray, *,
-              use_batch: bool = True) -> np.ndarray:
+              sym: SymbolicLDL, rhs: np.ndarray) -> np.ndarray:
     """Solve ``K x = rhs`` given the factorization.
 
     This is the numeric twin of the generated `ldlsolve()` kernel:
     forward substitution, diagonal scaling, backward substitution, all
     on the fixed sparsity -- long chains of multiply-add operations.
-
-    ``use_batch`` gathers each substitution row's products elementwise
-    before the (still serial, hence bit-identical) subtractions.
     """
     n = sym.n
     perm = sym.order
     b = rhs[perm].astype(float).copy()
-    if use_batch:
-        plan = _batch_plan(sym)
-        row_idx, col_idx = plan["row_idx"], plan["col_idx"]
-        lrow = [np.asarray([L[(i, j)] for j in plan["rows"][i]])
-                for i in range(n)]
-        lcol = [np.asarray([L[(j, i)] for j in plan["cols"][i]])
-                for i in range(n)]
-        y = np.zeros(n)
-        for i in range(n):
-            acc = b[i]
-            if len(lrow[i]):
-                for t in (lrow[i] * y[row_idx[i]]).tolist():
-                    acc -= t
-            y[i] = acc
-        z = y / D
-        x = np.zeros(n)
-        for i in range(n - 1, -1, -1):
-            acc = z[i]
-            if len(lcol[i]):
-                for t in (lcol[i] * x[col_idx[i]]).tolist():
-                    acc -= t
-            x[i] = acc
-        out = np.zeros(n)
-        out[perm] = x
-        return out
     rows = sym.rows()
     cols = sym.cols()
     # forward: L y = b

@@ -18,6 +18,7 @@ from repro.batch import (FastCSFmaEngine, accelerate_engine,
                          accumulate_batch, as_format_fast, dot_batch,
                          fma_batch, fp_add_fast, fp_fma_fast, fp_mul_fast,
                          kernel_for)
+from repro.batch.engines import BACKEND_ENV
 from repro.fma import (CSFmaEngine, DiscreteMulAddEngine, FcsFmaUnit,
                        FusedIeeeEngine, PcsFmaUnit, cs_to_ieee, ieee_to_cs,
                        run_recurrence)
@@ -128,8 +129,8 @@ class TestKernelVsUnit:
         a = [double(v[0]) for v in vals]
         b = [double(v[1]) for v in vals]
         c = [double(v[2]) for v in vals]
-        ref = fma_batch(a, b, c, unit=unit, use_batch=False)
-        fast = fma_batch(a, b, c, unit=unit, use_batch=True)
+        ref = fma_batch(a, b, c, unit=unit, backend="faithful")
+        fast = fma_batch(a, b, c, unit=unit)
         for r, f in zip(ref, fast):
             assert_same_cs(f, r)
 
@@ -306,6 +307,21 @@ class TestEngineAcceleration:
         custom = MyEngine()
         assert accelerate_engine(custom) is custom
 
+    @pytest.mark.parametrize("backend", ["auto", "vector", "tuple",
+                                         "faithful"])
+    def test_backend_env_reaches_accelerate(self, monkeypatch, backend):
+        """``REPRO_BATCH_BACKEND=faithful`` keeps every stock engine; any
+        other backend gets the fast twin."""
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        for stock in (CSFmaEngine(PCS), FusedIeeeEngine(),
+                      DiscreteMulAddEngine(EXTENDED75)):
+            fast = accelerate_engine(stock)
+            if backend == "faithful":
+                assert fast is stock
+            else:
+                assert type(fast).__name__ == "Fast" + type(stock).__name__
+                assert fast.name == stock.name
+
     def test_fast_cs_engine_rejects_strict_unit(self):
         with pytest.raises(ValueError):
             FastCSFmaEngine(PcsFmaUnit(strict=True))
@@ -317,20 +333,22 @@ class TestConsumerWiring:
     INPUTS = {"b1": 3.7, "b2": -0.25, "x1": 1.5, "x2": -2.25, "x3": 0.875}
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
-    def test_simulate_use_batch(self, unit):
+    def test_simulate_use_batch(self, unit, monkeypatch):
+        """The default (fast twin) against ``REPRO_BATCH_BACKEND=faithful``."""
         from repro.hls import (default_library, parse_program,
                                run_fma_insertion, simulate)
 
         graph = parse_program(self.SRC, outputs=["y", "w"])
         library = default_library(fma_flavor=unit.params.name)
         run_fma_insertion(graph, library)
-        ref = simulate(graph, self.INPUTS, engine=CSFmaEngine(unit),
-                       use_batch=False)
         fast = simulate(graph, self.INPUTS, engine=CSFmaEngine(unit))
+        monkeypatch.setenv(BACKEND_ENV, "faithful")
+        ref = simulate(graph, self.INPUTS, engine=CSFmaEngine(unit))
         assert fast == ref
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
-    def test_execute_schedule_use_batch(self, unit):
+    def test_execute_schedule_use_batch(self, unit, monkeypatch):
+        """The default (fast twin) against ``REPRO_BATCH_BACKEND=faithful``."""
         from repro.hls import (default_library, list_schedule,
                                parse_program, run_fma_insertion,
                                execute_schedule)
@@ -339,20 +357,25 @@ class TestConsumerWiring:
         library = default_library(fma_flavor=unit.params.name)
         run_fma_insertion(graph, library)
         schedule = list_schedule(graph, library)
-        ref = execute_schedule(graph, schedule, library, self.INPUTS,
-                               engine=CSFmaEngine(unit), use_batch=False)
         fast = execute_schedule(graph, schedule, library, self.INPUTS,
                                 engine=CSFmaEngine(unit))
+        monkeypatch.setenv(BACKEND_ENV, "faithful")
+        ref = execute_schedule(graph, schedule, library, self.INPUTS,
+                               engine=CSFmaEngine(unit))
         assert fast.outputs == ref.outputs
         assert fast.cycles == ref.cycles
 
-    def test_fig14_identical(self):
+    def test_fig14_identical(self, monkeypatch):
         from repro.experiments import fig14
 
-        assert fig14.run(runs=2) == fig14.run(runs=2, use_batch=False)
+        fast = fig14.run(runs=2)
+        monkeypatch.setenv(BACKEND_ENV, "faithful")
+        assert fast == fig14.run(runs=2)
 
     def test_ldl_identical(self):
-        from repro.solvers.ldl import ldl_solve, numeric_ldl, symbolic_ldl
+        """The gather factorization against the scalar reference loop."""
+        from repro.solvers.ldl import (_numeric_ldl_reference, ldl_solve,
+                                       numeric_ldl, symbolic_ldl)
 
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -360,19 +383,19 @@ class TestConsumerWiring:
             A = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
             K = A @ A.T + np.eye(n) * (1.0 + rng.random())
             sym = symbolic_ldl(np.abs(K) > 1e-12)
-            Ls, Ds = numeric_ldl(K, sym, use_batch=False)
-            Lb, Db = numeric_ldl(K, sym, use_batch=True)
+            Ls, Ds = _numeric_ldl_reference(K, sym)
+            Lb, Db = numeric_ldl(K, sym)
             assert Ls == Lb
             assert np.array_equal(Ds, Db)
             rhs = rng.normal(size=n)
-            assert np.array_equal(
-                ldl_solve(Ls, Ds, sym, rhs, use_batch=False),
-                ldl_solve(Lb, Db, sym, rhs, use_batch=True))
+            assert np.array_equal(ldl_solve(Ls, Ds, sym, rhs),
+                                  ldl_solve(Lb, Db, sym, rhs))
 
     def test_kkt_solve_convenience(self):
         from repro.solvers.kkt import (assemble_kkt, kkt_solve,
                                        kkt_sparsity)
-        from repro.solvers.ldl import ldl_solve, numeric_ldl, symbolic_ldl
+        from repro.solvers.ldl import (_numeric_ldl_reference, ldl_solve,
+                                       symbolic_ldl)
         from repro.solvers.qp import QPProblem
 
         rng = np.random.default_rng(3)
@@ -385,8 +408,8 @@ class TestConsumerWiring:
         rhs = rng.normal(size=n + m + p)
         sym = symbolic_ldl(kkt_sparsity(prob))
         K = assemble_kkt(prob, w)
-        L, D = numeric_ldl(K, sym, use_batch=False)
-        ref = ldl_solve(L, D, sym, rhs, use_batch=False)
+        L, D = _numeric_ldl_reference(K, sym)
+        ref = ldl_solve(L, D, sym, rhs)
         assert np.array_equal(kkt_solve(prob, w, rhs, sym), ref)
         assert np.array_equal(kkt_solve(prob, w, rhs), ref)
 

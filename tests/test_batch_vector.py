@@ -321,13 +321,16 @@ class TestBackendDispatch:
         assert t.snapshot().counters.get("batch.vector.lanes", 0) > 0
 
     def test_use_batch_false_forces_faithful(self):
+        """``backend="faithful"`` runs the scalar models: no vector
+        lanes, one counted scalar fallback."""
         unit = UNITS[0]
         a, b, c = ([from_word(int(x[k], 16)) for x in CASES[:4]]
                    for k in "abc")
         with collecting() as t:
-            fma_batch(a, b, c, unit=unit, use_batch=False,
-                      backend="vector")
-        assert "batch.vector.lanes" not in t.snapshot().counters
+            fma_batch(a, b, c, unit=unit, backend="faithful")
+        counters = t.snapshot().counters
+        assert "batch.vector.lanes" not in counters
+        assert counters.get("batch.fma.fallback_scalar") == 1
 
 
 # ---------------------------------------------------------------------------

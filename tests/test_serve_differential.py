@@ -78,19 +78,19 @@ class TestBitIdentity:
             assert fwd[rid].result == rev[rid].result
 
     def test_kernels_and_faithful_path_serve_identically(self):
-        """use_batch on/off through the server is invisible in results
-        (extends the repro.batch differential gate to the serving
-        boundary)."""
+        """The default backend and ``backend="faithful"`` through the
+        server are indistinguishable in results (extends the repro.batch
+        differential gate to the serving boundary)."""
         spec = LoadSpec(n_requests=80, seed=5, rate_hz=0.0)
 
-        async def serve_with(use_batch):
-            cfg = open_config(max_batch=16, use_batch=use_batch)
+        async def serve_with(backend):
+            cfg = open_config(max_batch=16, backend=backend)
             async with FmaServer(cfg) as s:
                 report = await run_open_loop(s, spec)
                 return {rid: r.result
                         for rid, r in report.responses.items()}
 
-        assert run(serve_with(True)) == run(serve_with(False))
+        assert run(serve_with(None)) == run(serve_with("faithful"))
 
 
 class TestConcurrencyFuzz:
