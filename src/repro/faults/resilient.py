@@ -43,6 +43,7 @@ import os
 import random
 import time
 import traceback
+import weakref
 from collections import Counter, deque
 from concurrent.futures import (FIRST_COMPLETED, CancelledError,
                                 ProcessPoolExecutor, wait)
@@ -124,8 +125,30 @@ def _pool_entry(fn, item, attempt: int, wants_attempt: bool):
     return fn(item, attempt) if wants_attempt else fn(item)
 
 
+#: ``_accepts_attempt`` answers per callable; weak keys, so the cache
+#: keeps no work function alive
+_ACCEPTS_ATTEMPT: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _accepts_attempt(fn) -> bool:
-    """Does ``fn`` take a second positional (attempt-number) argument?"""
+    """Does ``fn`` take a second positional (attempt-number) argument?
+
+    The serving layer asks once per batch, and ``inspect.signature``
+    costs about 10 µs, so the answer is cached per callable; an
+    unhashable or non-weak-referenceable callable takes the uncached
+    path.
+    """
+    try:
+        return _ACCEPTS_ATTEMPT[fn]
+    except KeyError:
+        pass
+    except TypeError:
+        return _signature_accepts_attempt(fn)
+    answer = _ACCEPTS_ATTEMPT[fn] = _signature_accepts_attempt(fn)
+    return answer
+
+
+def _signature_accepts_attempt(fn) -> bool:
     try:
         sig = inspect.signature(fn)
     except (TypeError, ValueError):

@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-batch", type=int, default=64,
                     help="micro-batch size cap (default 64)")
     ap.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="micro-batch wait deadline (default 2ms)")
+                    help="micro-batch wait deadline while every worker "
+                         "is busy (default 2ms)")
     ap.add_argument("--workers", type=int, default=4,
                     help="concurrent batch executions (default 4)")
     ap.add_argument("--max-pending", type=int, default=1024,

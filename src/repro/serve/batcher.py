@@ -1,17 +1,35 @@
-"""The adaptive micro-batcher: per-``(op, fmt)`` coalescing queues.
+"""The work-conserving micro-batcher: per-``(op, fmt)`` coalescing queues.
 
 Requests for the same operation and operand format coalesce into one
-kernel invocation.  A queue flushes when either knob trips:
+kernel invocation.  A queue flushes on the first of three triggers:
 
-* **max-batch-size** -- the queue reached ``max_batch`` entries; the
-  batch leaves immediately (no timer fires for a full batch);
-* **max-wait-deadline** -- the *oldest* entry has waited ``max_wait_s``.
+* **full** -- the queue reached ``max_batch`` entries; the batch leaves
+  immediately;
+* **idle** -- a worker slot is free (the server's ``slot_free()``
+  signal): the flush runs on the next event-loop iteration, so every
+  ``put`` of the current iteration (an ``asyncio.gather`` burst, the
+  lines of one socket read) still lands in the same batch, and a lone
+  request waits one loop iteration instead of ``max_wait_s``;
+* **timer** -- every slot is busy and the *oldest* entry has waited
+  ``max_wait_s``.
+
+Coalescing therefore happens only while the pool is saturated, which
+is when it pays: the batch size adapts to load, 1 when idle and up to
+``max_batch`` when busy.  When a batch finishes, the server calls
+:meth:`MicroBatcher.batch_done` and the freed slot **pulls** the queue
+whose head has waited longest (reason ``freed``), instead of idling
+until that queue's timer fires.
 
 The wait timer is adaptive in two ways.  It is armed only while a
 partial batch exists (an idle queue costs nothing), and its duration is
 clipped so the flush lands ``shed_margin_s`` *before* the earliest
 client deadline in the queue -- a request on a tight budget drags its
 batchmates out early rather than expiring while the batcher dawdles.
+
+Each key has at most one pending flush, a timer or a zero-delay
+flush, held in ``_timers`` so :meth:`cancel_timers` cancels them all.
+Every flush counts ``serve.flush.<reason>`` (``full`` / ``idle`` /
+``freed`` / ``timer`` / ``drain``) while telemetry is armed.
 
 The batcher only *forms* batches; execution, admission accounting and
 deadline shedding of already-formed batches belong to the server.  All
@@ -24,6 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..telemetry import core as _tm
 from .protocol import Request
 
 __all__ = ["Entry", "MicroBatcher"]
@@ -45,10 +64,12 @@ class MicroBatcher:
                  shed_margin_s: float = 0.0005,
                  clock: Callable[[], float],
                  schedule: Callable[[float, Callable], object],
+                 slot_free: Callable[[], bool],
                  on_batch: Callable[[str, list], None]):
         """``clock`` is ``loop.time``; ``schedule(delay, cb)`` must
         return a cancellable timer handle (``loop.call_later``);
-        ``on_batch(key, entries)`` receives each formed batch."""
+        ``slot_free()`` says whether a worker slot could take a batch
+        now; ``on_batch(key, entries)`` receives each formed batch."""
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_wait_s < 0:
@@ -58,9 +79,11 @@ class MicroBatcher:
         self.shed_margin_s = shed_margin_s
         self._clock = clock
         self._schedule = schedule
+        self._slot_free = slot_free
         self._on_batch = on_batch
         self._queues: dict[str, deque[Entry]] = {}
-        self._timers: dict[str, object] = {}
+        # key -> (handle, reason) of its one pending flush
+        self._timers: dict[str, tuple[object, str]] = {}
 
     # ------------------------------------------------------------------
 
@@ -92,25 +115,39 @@ class MicroBatcher:
             q = self._queues[key] = deque()
         q.append(entry)
         if len(q) >= self.max_batch:
-            self._fire(key)
+            self._fire(key, "full")
         else:
             self._arm(key)
         return key
 
+    def batch_done(self) -> None:
+        """A batch finished and freed its slot: flush, on the next loop
+        iteration, the queue whose oldest entry has waited longest."""
+        waiting = [(q[0].t_enqueue, key) for key, q in self._queues.items()
+                   if q and not self._flushing_soon(key)]
+        if waiting:
+            self._flush_soon(min(waiting)[1], "freed")
+
     def flush_all(self) -> None:
         """Drain every queue now (shutdown / test hook)."""
         for key in list(self._queues):
-            while self._queues.get(key):
-                self._fire(key)
+            self._fire(key, "drain")
 
     # ------------------------------------------------------------------
 
     def _arm(self, key: str) -> None:
-        if key in self._timers:
-            return
         q = self._queues.get(key)
         if not q:
             return
+        if self._slot_free():
+            self._flush_soon(key, "idle")
+        elif key not in self._timers:
+            self._timers[key] = (
+                self._schedule(self._wait_s(q),
+                               lambda: self._expire(key, "timer")),
+                "timer")
+
+    def _wait_s(self, q: deque[Entry]) -> float:
         now = self._clock()
         oldest_wait = now - q[0].t_enqueue
         delay = max(0.0, self.max_wait_s - oldest_wait)
@@ -120,33 +157,42 @@ class MicroBatcher:
             # it into an execution slot
             slack = min(deadlines) - now - self.shed_margin_s
             delay = max(0.0, min(delay, slack))
-        self._timers[key] = self._schedule(delay, lambda: self._expire(key))
+        return delay
 
-    def _expire(self, key: str) -> None:
+    def _flush_soon(self, key: str, reason: str) -> None:
+        """Flush ``key`` on the next loop iteration, replacing its wait
+        timer; a zero-delay flush already pending stays as it is."""
+        if self._flushing_soon(key):
+            return
+        pending = self._timers.get(key)
+        if pending is not None:
+            _cancel(pending[0])
+        self._timers[key] = (
+            self._schedule(0.0, lambda: self._expire(key, reason)), reason)
+
+    def _flushing_soon(self, key: str) -> bool:
+        pending = self._timers.get(key)
+        return pending is not None and pending[1] != "timer"
+
+    def _expire(self, key: str, reason: str) -> None:
         self._timers.pop(key, None)
         if self._queues.get(key):
-            self._fire(key)
+            self._fire(key, reason)
 
-    def _fire(self, key: str) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            try:
-                timer.cancel()
-            except (KeyboardInterrupt, SystemExit):
-                raise  # interruption must win over the flush
-            except Exception:
-                pass  # a dead timer handle must not block the flush
+    def _fire(self, key: str, reason: str) -> None:
+        pending = self._timers.pop(key, None)
+        if pending is not None:
+            _cancel(pending[0])
         q = self._queues.get(key)
         if not q:
             return
-        batch = [q.popleft() for _ in range(min(len(q), self.max_batch))]
-        if q:
-            # leftovers (burst larger than max_batch): keep the pipeline
-            # moving without waiting a fresh full max_wait
-            if len(q) >= self.max_batch:
-                self._schedule(0.0, lambda: self._expire(key))
-            else:
-                self._arm(key)
+        # put() fires at max_batch, so a queue never holds more: the
+        # whole queue is one batch
+        batch = list(q)
+        q.clear()
+        tm = _tm.ACTIVE
+        if tm is not None:
+            tm.count(f"serve.flush.{reason}")
         self._on_batch(key, batch)
 
     # ------------------------------------------------------------------
@@ -157,11 +203,15 @@ class MicroBatcher:
         return min(pending) if pending else None
 
     def cancel_timers(self) -> None:
-        for timer in self._timers.values():
-            try:
-                timer.cancel()
-            except (KeyboardInterrupt, SystemExit):
-                raise  # interruption must win over shutdown cleanup
-            except Exception:
-                pass  # a dead timer handle must not block shutdown
+        for handle, _reason in self._timers.values():
+            _cancel(handle)
         self._timers.clear()
+
+
+def _cancel(handle: object) -> None:
+    try:
+        handle.cancel()
+    except (KeyboardInterrupt, SystemExit):
+        raise  # interruption must win over the flush or the shutdown
+    except Exception:
+        pass  # a dead timer handle must not block a flush or shutdown

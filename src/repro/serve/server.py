@@ -3,10 +3,11 @@
 ``FmaServer`` turns the batched kernels of :mod:`repro.batch` into a
 request-serving path: requests are admitted (bounded queue + slow-start
 window, :mod:`repro.serve.admission`), coalesced per ``(op, fmt)`` by
-the adaptive micro-batcher (:mod:`repro.serve.batcher`), executed on a
-bounded worker pool through the shared resilient machinery
-(:mod:`repro.serve.executor`), and resolved back onto per-request
-futures -- every admitted request receives **exactly one** response.
+the work-conserving micro-batcher (:mod:`repro.serve.batcher`),
+executed on a bounded worker pool through the shared resilient
+machinery (:mod:`repro.serve.executor`), and resolved back onto
+per-request futures -- every admitted request receives **exactly one**
+response.
 
 Bit-identity guarantee: for any batch split and any arrival order, an
 ``ok`` response carries exactly the word the faithful scalar models
@@ -24,6 +25,12 @@ instruments fire on the event-loop thread):
 ``serve.responses.error``       count  attempted but failed
 ``serve.shed.deadline``         count  queued past their budget
 ``serve.batches`` / ``.<key>``  count  formed batches (per class)
+``serve.flush.<reason>``        count  queue flushes per trigger:
+                                       ``full`` / ``idle`` (free slot)
+                                       / ``freed`` (pulled by a
+                                       finished batch) / ``timer``
+                                       (``max_wait_s``, pool busy) /
+                                       ``drain``
 ``serve.batch.size_le.<n>``     count  batch-size histogram (pow-2)
 ``serve.exec.retries``          count  resilient retry attempts
 ``serve.exec.failures``         count  payloads failed after retry
@@ -63,7 +70,7 @@ class ServeConfig:
     """Tuning knobs for one server (documented in docs/SERVING.md)."""
 
     max_batch: int = 64              # micro-batch size cap
-    max_wait_s: float = 0.002        # micro-batch wait deadline
+    max_wait_s: float = 0.002        # batch wait while the pool is busy
     workers: int = 4                 # concurrent batch executions
     max_pending: int = 1024          # hard bound, queued + in-flight
     slow_start: bool = True          # admission window ramp on/off
@@ -151,6 +158,7 @@ class FmaServer:
             max_wait_s=self.config.max_wait_s,
             clock=loop.time,
             schedule=lambda delay, cb: loop.call_later(delay, cb),
+            slot_free=lambda: len(self._tasks) < self.config.workers,
             on_batch=self._launch_batch)
         self._started = True
         self._draining = False
@@ -231,7 +239,11 @@ class FmaServer:
     def _launch_batch(self, key: str, entries: list[Entry]) -> None:
         task = self._loop.create_task(self._run_batch(key, entries))
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        self._batcher.batch_done()   # the freed slot pulls queued work
 
     async def _run_batch(self, key: str, entries: list[Entry]) -> None:
         async with self._sem:

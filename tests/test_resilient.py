@@ -86,6 +86,32 @@ def test_pool_happy_path():
     assert run.pool_failures == 0
 
 
+def test_attempt_number_still_reaches_the_callable():
+    # the (item, attempt) signature is looked up once per callable and
+    # cached; later runs must still pass the attempt number
+    seen = []
+
+    def record(x, attempt):
+        seen.append((x, attempt))
+        if attempt == 0:
+            raise RuntimeError("first attempt")
+        return x
+
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, x, attempt):
+            return record(x, attempt)
+
+    for fn in (record, record, Unhashable()):
+        seen.clear()
+        run = run_resilient(fn, ["a"], workers=1, retry=FAST)
+        assert run.ok and run.results[0].value == "a"
+        assert seen == [("a", 0), ("a", 1)]
+    one_arg = run_resilient(square, [3], workers=1, retry=FAST)
+    assert one_arg.results[0].value == 9
+
+
 def test_empty_items():
     run = run_resilient(square, [], workers=2, retry=FAST)
     assert run.ok and run.results == []

@@ -3,7 +3,8 @@ frontend of :mod:`repro.serve`.
 
 The codec tests pin the wire contract (hex binary64 words, structured
 response shapes); the batcher tests drive the coalescing logic with a
-fake clock so both flush knobs and the deadline clipping are checked
+fake clock so every flush trigger (full, free slot, freed by a
+finished batch, timer) and the deadline clipping are checked
 deterministically; the TCP tests run a real server on an ephemeral
 port and assert end-to-end bit identity plus graceful handling of
 malformed lines.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import time
 
 import pytest
 
@@ -26,7 +28,7 @@ from repro.serve.protocol import (ProtocolError, Response, decode_request,
                                   encode_response, fp_to_word, hex_to_word,
                                   word_to_fp, word_to_hex)
 
-from _serve_util import run
+from _serve_util import run, slow_execute
 
 pytestmark = pytest.mark.serial
 
@@ -229,10 +231,15 @@ class _Handle:
         self.cancelled = True
 
 
+def busy() -> bool:
+    return False
+
+
 def make_batcher(loop: FakeLoop, batches: list, *, max_batch=4,
-                 max_wait_s=0.010, **kw) -> MicroBatcher:
+                 max_wait_s=0.010, slot_free=busy, **kw) -> MicroBatcher:
     return MicroBatcher(max_batch=max_batch, max_wait_s=max_wait_s,
                         clock=loop.clock, schedule=loop.schedule,
+                        slot_free=slot_free,
                         on_batch=lambda k, es: batches.append((k, es)),
                         **kw)
 
@@ -327,6 +334,175 @@ class TestMicroBatcher:
         mb.put(checked)
         assert not batches                       # distinct queues
         assert mb.depths() == {"fma.pcs": 1, "fma.pcs.residue": 1}
+
+
+class TestWorkConservingBatcher:
+    """With a free worker slot a partial batch leaves on the next loop
+    iteration; ``max_wait_s`` only bounds the wait while the pool is
+    busy; a finished batch pulls the queue with the oldest head."""
+
+    def test_free_slot_flushes_after_zero_delay_step(self):
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches, max_batch=8, max_wait_s=0.010,
+                          slot_free=lambda: True)
+        mb.put(entry(0))
+        assert not batches                       # not inside put()
+        assert loop.pending_delays() == [0.0]
+        loop.advance(0.0)
+        assert [len(es) for _k, es in batches] == [1]
+        assert loop.pending_delays() == []
+
+    def test_puts_before_the_step_form_one_batch(self):
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches, max_batch=8,
+                          slot_free=lambda: True)
+        for i in range(5):
+            mb.put(entry(i))
+        assert loop.pending_delays() == [0.0]    # one flush per key
+        loop.advance(0.0)
+        assert len(batches) == 1
+        assert [e.req.req_id for e in batches[0][1]] == list(range(5))
+
+    def test_busy_pool_keeps_max_wait_and_deadline_clipping(self):
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches, max_batch=8, max_wait_s=0.010,
+                          shed_margin_s=0.001)
+        mb.put(entry(0))
+        mb.put(entry(1, fmt="fcs", deadline=0.004))
+        assert sorted(loop.pending_delays()) == pytest.approx(
+            [0.003, 0.010])
+        loop.advance(0.0)
+        assert not batches
+        loop.advance(0.0035)
+        assert [k for k, _es in batches] == ["fma.fcs"]
+        loop.advance(0.007)
+        assert [k for k, _es in batches] == ["fma.fcs", "fma.pcs"]
+
+    def test_slot_freeing_mid_wait_replaces_the_timer(self):
+        free = [False]
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches, max_batch=8, max_wait_s=0.010,
+                          slot_free=lambda: free[0])
+        mb.put(entry(0))
+        loop.advance(0.002)
+        free[0] = True
+        mb.put(entry(1, t=0.002))
+        assert loop.pending_delays() == [0.0]    # timer cancelled
+        loop.advance(0.0)
+        assert [len(es) for _k, es in batches] == [2]
+
+    def test_finished_batch_pulls_the_oldest_queue_first(self):
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches, max_batch=8, max_wait_s=0.010)
+        loop.now = 0.001
+        mb.put(entry(0, fmt="fcs", t=0.001))
+        loop.now = 0.002
+        mb.put(entry(1, op="dot", fmt="fcs", t=0.002))
+        loop.now = 0.0
+        mb.put(entry(2, fmt="pcs", t=0.0))       # oldest head
+        mb.batch_done()
+        loop.advance(0.0)
+        assert [k for k, _es in batches] == ["fma.pcs"]
+        mb.batch_done()
+        loop.advance(0.0)
+        assert [k for k, _es in batches] == ["fma.pcs", "fma.fcs"]
+        mb.batch_done()
+        mb.batch_done()                          # nothing left to pull
+        loop.advance(0.0)
+        assert [k for k, _es in batches] == ["fma.pcs", "fma.fcs",
+                                             "dot.fcs"]
+        assert loop.pending_delays() == []
+
+    def test_timer_and_drain_flushes_are_counted(self):
+        from repro.telemetry import collecting
+
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches)
+        with collecting() as report:
+            mb.put(entry(0))
+            loop.advance(0.011)
+            mb.put(entry(1, t=0.011))
+            mb.flush_all()
+        assert report.counters == {"serve.flush.timer": 1,
+                                   "serve.flush.drain": 1}
+
+    def test_cancel_timers_cancels_zero_delay_flushes(self):
+        free = [False]
+        loop, batches = FakeLoop(), []
+        mb = make_batcher(loop, batches, max_batch=4,
+                          slot_free=lambda: free[0])
+        mb.put(entry(0))
+        mb.put(entry(1, fmt="fcs"))
+        mb.batch_done()                          # pulls fma.pcs
+        free[0] = True
+        mb.put(entry(2, op="dot", fmt="fcs"))    # idle flush
+        assert sorted(loop.pending_delays()) == pytest.approx(
+            [0.0, 0.0, 0.010])
+        mb.cancel_timers()
+        assert loop.pending_delays() == []
+        loop.advance(1.0)
+        assert not batches
+
+
+def pcs_req(i: int, fmt: str = "pcs") -> Request:
+    return Request(req_id=i, op="fma", fmt=fmt, a=0x3FF0000000000000,
+                   b=0x4000000000000000, c=0x3FE0000000000000)
+
+
+class TestWorkConservingServer:
+    def test_one_shot_on_idle_server_skips_max_wait(self):
+        async def body():
+            async with FmaServer(ServeConfig(max_wait_s=1.0)) as s:
+                t0 = time.perf_counter()
+                resp = await s.submit(pcs_req(0))
+                return resp, time.perf_counter() - t0
+
+        resp, elapsed = run(body())
+        assert resp.ok
+        assert elapsed < 0.25
+
+    def test_flush_reasons_are_counted(self):
+        from repro.telemetry import collecting
+
+        async def body():
+            cfg = ServeConfig(max_batch=4, max_wait_s=1.0,
+                              slow_start=False)
+            async with FmaServer(cfg) as s:
+                with collecting() as paced:
+                    for i in range(5):          # one at a time
+                        assert (await s.submit(pcs_req(i))).ok
+                with collecting() as burst:
+                    resps = await asyncio.gather(
+                        *(s.submit(pcs_req(10 + i)) for i in range(10)))
+                    assert all(r.ok for r in resps)
+            return paced.counters, burst.counters
+
+        paced, burst = run(body())
+        flushes = {k: v for k, v in paced.items()
+                   if k.startswith("serve.flush.")}
+        assert flushes == {"serve.flush.idle": 5}
+        assert burst["serve.flush.full"] == 2
+        assert "serve.flush.timer" not in burst
+
+    def test_finished_batch_pulls_queued_work(self):
+        from repro.telemetry import collecting
+
+        async def body():
+            cfg = ServeConfig(workers=1, max_wait_s=5.0, slow_start=False,
+                              work_fn=slow_execute)
+            async with FmaServer(cfg) as s:
+                first = asyncio.ensure_future(s.submit(pcs_req(0)))
+                await asyncio.sleep(0.01)       # pool now busy
+                rest = [asyncio.ensure_future(s.submit(pcs_req(1, "fcs"))),
+                        asyncio.ensure_future(s.submit(pcs_req(2)))]
+                return await asyncio.gather(first, *rest)
+
+        with collecting() as report:
+            resps = run(body())
+        assert all(r.ok for r in resps)
+        flushes = {k: v for k, v in report.counters.items()
+                   if k.startswith("serve.flush.")}
+        assert flushes == {"serve.flush.idle": 1, "serve.flush.freed": 2}
 
 
 # ---------------------------------------------------------------------------
