@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .. import probes
 from ..fma.accumulator import AccumulatorOverflow, PcsAccumulator
 from ..fma.convert import cs_to_ieee, ieee_to_cs
 from ..fma.csfma import CSFmaUnit, FcsFmaUnit
+from ..fma.dotprod import FusedDotProductUnit
 from ..fma.formats import CSFloat
 from ..fp.formats import BINARY64
 from ..fp.value import FpClass, FPValue, fp_to_word, word_to_fp
@@ -29,6 +32,7 @@ from ..telemetry import core as _tm
 from .cskernel import CS_NORMAL, CS_ZERO, bit_positions, kernel_for
 from .engines import requested_backend, resolve_backend
 from .ieee_fast import fp_mul_fast
+from .vector import vector_kernel_for
 
 __all__ = ["fma_batch", "dot_batch", "accumulate_batch", "fma_words",
            "dot_words"]
@@ -59,8 +63,6 @@ def _vector_gate(unit, n: int, minimum: int, pinned: bool, tm):
     elif not pinned and n < minimum:
         reason = "small-batch"
     else:
-        from .vector import vector_kernel_for
-
         vk = vector_kernel_for(unit)
         if vk is not None:
             return vk
@@ -125,8 +127,6 @@ def _fma_cols(vk, aw, bw, cw, defer, tm):
     caller's ``defer`` mask and runs every other lane through
     :meth:`VectorCSKernel.fma_lanes`.  Returns ``(cols, defer)``; the
     caller redoes the deferred lanes on the scalar kernel."""
-    from .vector import np
-
     acs, _ab, spec_a = vk.lift_words(aw)
     _cb, bcs, spec_b = vk.lift_words(bw)
     ccs, _xb, spec_c = vk.lift_words(cw)
@@ -167,8 +167,6 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
                                      VECTOR_MIN_FMA_LANES)
     if vk is None:
         return _fma_scalar(unit, kernel, a, b, c)
-    from .vector import np
-
     words, defer = [], []
     n_cs = n_fmt = 0
     for ai, bi, ci in zip(a, b, c):
@@ -218,8 +216,6 @@ def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
                           [word_to_fp(w) for w in b],
                           [word_to_fp(w) for w in c])
         return [fp_to_word(cs_to_ieee(r)) for r in out]
-    from .vector import np
-
     cols, defer = _fma_cols(vk, np.array(a, np.uint64),
                             np.array(b, np.uint64), np.array(c, np.uint64),
                             np.zeros(len(a), bool), tm)
@@ -249,10 +245,7 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     unit, kernel, vk, tm = _dispatch("dot", unit, len(a), backend,
                                      VECTOR_MIN_DOT_LEN)
     if kernel is None:
-        acc = ieee_to_cs(FPValue.zero(BINARY64), unit.params)
-        for ai, bi in zip(a, b):
-            acc = unit.fma(acc, ai, ieee_to_cs(bi, unit.params))
-        return cs_to_ieee(acc)
+        return FusedDotProductUnit(unit).dot(a, b)
     if vk is not None and tm is not None:
         tm.count("batch.vector.lanes")
     with _tm.span("batch.dot.kernel"):
@@ -288,8 +281,6 @@ def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
                                      [word_to_fp(w) for w in bw], unit,
                                      backend=backend))
                 for aw, bw in zip(a, b)]
-    from .vector import np
-
     lens = [len(aw) for aw in a]
     aw = np.zeros((max(lens), len(a)), np.uint64)
     bw = np.zeros_like(aw)

@@ -8,7 +8,8 @@ coverage report with the per-class SDC-rate table.  Typical uses::
     python -m repro.faults --injections 500 --seed 7 --json-out rep.json
     python -m repro.faults --classes pcs,batch --workers 4
     python -m repro.faults --checkpoint camp.jsonl --resume
-    python -m repro.faults --guard --guard-mode tmr
+
+The guarded re-run of the same plan is ``python -m repro.guard``.
 
 Exit status is 0 when the campaign completed every planned injection
 (and on ``--help``/``--list-sites``), 1 when the campaign could not
@@ -55,14 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(pcs,fcs,batch,structural)")
     ap.add_argument("--list-sites", action="store_true",
                     help="print the fault-site registry and exit")
-    ap.add_argument("--guard", action="store_true",
-                    help="re-run the same plan with the repro.guard "
-                         "detection/correction layer armed and report "
-                         "baseline-vs-guarded coverage (see "
-                         "python -m repro.guard for the full interface)")
-    ap.add_argument("--guard-mode", choices=("residue", "dmr", "tmr"),
-                    default="residue",
-                    help="guard policy for --guard (default residue)")
     ap.add_argument("--workers", type=int, default=1,
                     help="parallel workers (default 1 = serial)")
     ap.add_argument("--timeout", type=float, default=120.0,
@@ -107,9 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--retries must be >= 1")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint")
-    if args.guard and args.checkpoint:
-        parser.error("--guard does not support --checkpoint; use "
-                     "python -m repro.guard")
     try:
         config = CampaignConfig(
             seed=args.seed, injections=args.injections,
@@ -118,30 +108,17 @@ def main(argv: list[str] | None = None) -> int:
         select_sites(config.sites, config.classes)  # validate filters
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
-    if args.guard:
-        # delegate to the CED layer: same plan, guard armed
-        from ..guard.campaign import (render_guarded_text,
-                                      run_guarded_campaign)
-        from ..guard.voting import GuardPolicy
-
-        report = run_guarded_campaign(
-            config, GuardPolicy(mode=args.guard_mode,
-                                max_executions=4),
-            workers=args.workers, timeout_s=args.timeout,
-            max_attempts=args.retries)
-    else:
-        report = run_campaign(config, workers=args.workers,
-                              checkpoint=args.checkpoint,
-                              resume=args.resume,
-                              timeout_s=args.timeout,
-                              max_attempts=args.retries)
+    report = run_campaign(config, workers=args.workers,
+                          checkpoint=args.checkpoint,
+                          resume=args.resume,
+                          timeout_s=args.timeout,
+                          max_attempts=args.retries)
     if args.json_out:
         with open(args.json_out, "w") as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
     if not args.quiet:
-        print(render_guarded_text(report) if args.guard
-              else render_text(report))
+        print(render_text(report))
     done = report["totals"]["injections"]
     return 0 if done >= config.injections else 1
 

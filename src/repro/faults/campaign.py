@@ -523,51 +523,18 @@ def run_campaign(config: CampaignConfig, *, workers: int = 1,
         mode = "a" if resume else "w"
         ckpt_file = open(checkpoint, mode)
 
+    def emit(rec: dict) -> None:
+        done[rec["id"]] = rec
+        if ckpt_file is not None:
+            _append_checkpoint(ckpt_file, rec)
+
     todo = [inj for inj in plan if inj["id"] not in done]
-    resilience = None
     try:
-        if workers > 1 and len(todo) > chunk:
-            # contiguous id ranges over the *pending* plan tail
-            ids = [inj["id"] for inj in todo]
-            payloads = []
-            i = 0
-            while i < len(ids):
-                j = i
-                while (j + 1 < len(ids) and j + 1 - i < chunk
-                       and ids[j + 1] == ids[j] + 1):
-                    j += 1
-                payloads.append({"config": config.to_dict(),
-                                 "lo": ids[i], "hi": ids[j] + 1})
-                i = j + 1
-            run = run_resilient(
-                _campaign_entry, payloads, workers=workers,
-                timeout_s=timeout_s,
-                retry=RetryPolicy(max_attempts=max_attempts),
-                rng_seed=config.seed)
-            resilience = run.summary()
-            leftovers = []
-            for res, payload in zip(run.results, payloads):
-                if res.ok:
-                    for rec in res.value:
-                        done[rec["id"]] = rec
-                        if ckpt_file is not None:
-                            _append_checkpoint(ckpt_file, rec)
-                else:
-                    leftovers.extend(range(payload["lo"], payload["hi"]))
-            # a permanently failed slice is finished inline: the
-            # campaign never loses injections to pool failures
-            for i in leftovers:
-                inj = plan[i]
-                rec = run_injection(config, _site_of(sites, inj), inj)
-                done[rec["id"]] = rec
-                if ckpt_file is not None:
-                    _append_checkpoint(ckpt_file, rec)
-        else:
-            for inj in todo:
-                rec = run_injection(config, _site_of(sites, inj), inj)
-                done[rec["id"]] = rec
-                if ckpt_file is not None:
-                    _append_checkpoint(ckpt_file, rec)
+        resilience = _fan_out(
+            _campaign_entry, {"config": config.to_dict()}, todo,
+            lambda inj: run_injection(config, _site_of(sites, inj), inj),
+            emit, seed=config.seed, workers=workers, chunk=chunk,
+            timeout_s=timeout_s, max_attempts=max_attempts)
     finally:
         if ckpt_file is not None:
             ckpt_file.close()
@@ -588,6 +555,50 @@ def run_campaign(config: CampaignConfig, *, workers: int = 1,
             tm.count("faults.retries", resilience["retries"])
             tm.count("faults.timeouts", resilience["timeouts"])
     return report
+
+
+def _fan_out(entry, payload: dict, todo: list[dict], evaluate, emit, *,
+             seed: int, workers: int, chunk: int,
+             timeout_s: float | None, max_attempts: int) -> dict | None:
+    """Evaluate the pending plan entries ``todo``, passing each record
+    to ``emit``; return the resilience summary, or ``None`` if serial.
+
+    With ``workers > 1`` and more than ``chunk`` entries, contiguous id
+    runs of at most ``chunk`` entries go to ``entry`` through
+    :func:`run_resilient` as ``payload`` plus ``lo``/``hi``; ``evaluate``
+    (one plan entry -> record) runs the serial path and finishes any
+    slice that failed permanently, so no injection is lost to pool
+    failures.
+    """
+    if workers <= 1 or len(todo) <= chunk:
+        for inj in todo:
+            emit(evaluate(inj))
+        return None
+    spans = []
+    i = 0
+    while i < len(todo):
+        j = i + 1
+        while (j < len(todo) and j - i < chunk
+               and todo[j]["id"] == todo[j - 1]["id"] + 1):
+            j += 1
+        spans.append((i, j))
+        i = j
+    payloads = [dict(payload, lo=todo[i]["id"], hi=todo[j - 1]["id"] + 1)
+                for i, j in spans]
+    run = run_resilient(entry, payloads, workers=workers,
+                        timeout_s=timeout_s,
+                        retry=RetryPolicy(max_attempts=max_attempts),
+                        rng_seed=seed)
+    failed = []
+    for res, (i, j) in zip(run.results, spans):
+        if res.ok:
+            for rec in res.value:
+                emit(rec)
+        else:
+            failed.extend(todo[i:j])
+    for inj in failed:
+        emit(evaluate(inj))
+    return run.summary()
 
 
 def _site_of(sites: list[FaultSite], inj: dict) -> FaultSite:

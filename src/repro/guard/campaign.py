@@ -37,12 +37,11 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-from ..faults.campaign import (CampaignConfig, _classify_cs,
-                               _batch_inputs, _golden_batch,
-                               _golden_scalar, _pool, _same_cs, _same_ieee,
-                               _scalar_operands, _scalar_unit, _site_of,
-                               plan_injections, run_injection)
-from ..faults.resilient import RetryPolicy, run_resilient
+from ..faults.campaign import (CampaignConfig, _batch_inputs, _fan_out,
+                               _golden_batch, _golden_scalar, _pool,
+                               _same_cs, _same_ieee, _scalar_operands,
+                               _scalar_unit, _site_of, plan_injections,
+                               run_injection)
 from ..faults.sites import (SITE_CLASSES, FaultSite, flip_word,
                             make_transform, params_for_unit, select_sites)
 from ..fma.convert import cs_to_ieee
@@ -227,34 +226,17 @@ def run_guarded_campaign(config: CampaignConfig,
     plan = plan_injections(config)
     sites = select_sites(config.sites, config.classes)
     done: dict[int, dict] = {}
-    resilience = None
-    if workers > 1 and len(plan) > chunk:
-        payloads = [{"config": config.to_dict(),
-                     "policy": _policy_dict(policy),
-                     "lo": lo, "hi": min(lo + chunk, len(plan))}
-                    for lo in range(0, len(plan), chunk)]
-        run = run_resilient(_guarded_entry, payloads, workers=workers,
-                            timeout_s=timeout_s,
-                            retry=RetryPolicy(max_attempts=max_attempts),
-                            rng_seed=config.seed)
-        resilience = run.summary()
-        leftovers = []
-        for res, payload in zip(run.results, payloads):
-            if res.ok:
-                for rec in res.value:
-                    done[rec["id"]] = rec
-            else:
-                leftovers.extend(range(payload["lo"], payload["hi"]))
-        for i in leftovers:
-            inj = plan[i]
-            rec = run_guarded_injection(config, _site_of(sites, inj), inj,
-                                        policy)
-            done[rec["id"]] = rec
-    else:
-        for inj in plan:
-            rec = run_guarded_injection(config, _site_of(sites, inj), inj,
-                                        policy)
-            done[rec["id"]] = rec
+
+    def emit(rec: dict) -> None:
+        done[rec["id"]] = rec
+
+    resilience = _fan_out(
+        _guarded_entry,
+        {"config": config.to_dict(), "policy": _policy_dict(policy)}, plan,
+        lambda inj: run_guarded_injection(config, _site_of(sites, inj),
+                                          inj, policy),
+        emit, seed=config.seed, workers=workers, chunk=chunk,
+        timeout_s=timeout_s, max_attempts=max_attempts)
     records = [done[i] for i in sorted(done)]
     report = aggregate_guarded(config, policy, records, sites)
     if resilience is not None:

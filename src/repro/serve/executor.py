@@ -32,7 +32,7 @@ carrying the resilient error record's ``kind``.
 
 from __future__ import annotations
 
-from ..batch import dot_words, fma_words
+from ..batch import dot_words, fma_words, fp_fma_fast, resolve_backend
 from ..fma.accumulator import PcsAccumulator
 from ..fma.classic import ClassicFmaUnit
 from ..fma.convert import cs_to_ieee, ieee_to_cs
@@ -40,6 +40,7 @@ from ..fma.csfma import FcsFmaUnit, PcsFmaUnit
 from ..fma.dotprod import FusedDotProductUnit
 from ..fp.formats import BINARY64
 from ..faults.resilient import RetryPolicy, run_resilient
+from ..guard import residue as _gd
 from .protocol import Request, fp_to_word, word_to_fp
 
 __all__ = ["execute_payload", "reference_result", "BatchExecutor",
@@ -74,11 +75,16 @@ def payload_from_requests(op: str, fmt: str, requests: "list[Request]",
 def _exec_fma(fmt: str, items, backend: str | None) -> list:
     unit = _units()[fmt]
     if fmt == "classic":
-        out = []
-        for a, b, c in items:
-            r = unit.fma(word_to_fp(a), word_to_fp(b), word_to_fp(c))
-            out.append(("ok", fp_to_word(r)))
-        return out
+        # the unit's guard mode is duplicate-and-compare, so armed guard
+        # work runs on it; otherwise its integer twin answers
+        if _gd.ACTIVE is None and resolve_backend(backend) != "faithful":
+            def fma(a, b, c):
+                return fp_fma_fast(a, b, c, fmt=BINARY64)
+        else:
+            fma = unit.fma
+        return [("ok", fp_to_word(fma(word_to_fp(a), word_to_fp(b),
+                                      word_to_fp(c))))
+                for a, b, c in items]
     words = fma_words([a for a, _b, _c in items], [b for _a, b, _c in items],
                       [c for _a, _b, c in items], unit, backend=backend)
     return [("ok", w) for w in words]

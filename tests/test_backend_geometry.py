@@ -14,8 +14,7 @@ import random
 
 import pytest
 
-from repro.batch import (dot_batch, dot_words, fma_batch, fma_words,
-                         kernel_for, vector_available)
+from repro.batch import dot_batch, dot_words, fma_batch, fma_words, kernel_for
 from repro.batch.api import VECTOR_MIN_DOT_LEN, VECTOR_MIN_FMA_LANES
 from repro.fma import CSFmaUnit
 from repro.fp import BINARY32, BINARY64, FPValue, fp_to_word
@@ -104,7 +103,6 @@ class TestWordEntryPoints:
                                                      backend=be)))
 
 
-@pytest.mark.skipif(not vector_available(), reason="NumPy lane engine")
 def test_vector_gate_declines_narrow_geometry(unit):
     """A geometry whose A/C operand cannot hold a binary64 significand
     has no vector kernel: the pinned call is a counted ``no-kernel``

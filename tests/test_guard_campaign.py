@@ -148,11 +148,3 @@ class TestCli:
         assert gm.main(["--injections", str(SMALL.injections),
                         "--quiet"]) == 1
         assert "guard gate" in capsys.readouterr().err
-
-    def test_faults_cli_guard_flag(self, capsys):
-        from repro.faults.__main__ import main
-
-        assert main(["--guard", "--seed", "2", "--injections", "30",
-                     "--operands", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "guarded SEU campaign" in out

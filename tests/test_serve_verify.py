@@ -23,9 +23,12 @@ import asyncio
 import pytest
 
 from repro import probes
+from repro.batch.engines import BACKEND_ENV
+from repro.fma.classic import ClassicFmaUnit
 from repro.guard.residue import GuardMismatch
 from repro.serve import FmaServer, Request, ServeConfig
-from repro.serve.executor import reference_result
+from repro.serve.executor import (BatchExecutor, execute_payload,
+                                  reference_result)
 from repro.telemetry import collecting
 
 from _serve_util import run
@@ -134,3 +137,63 @@ class TestVerifiedSubmit:
         want = reference_result(fma_req(0))[1]
         assert {r.result for r in resps} == {want}
         assert stats["guard.clean"] == 1         # one verified batch
+
+
+class TestClassicBackend:
+    """Serve's ``classic`` fma honours ``backend=``: the faithful unit
+    runs for ``faithful`` and under an armed guard, whose
+    duplicate-and-compare lives on the unit; otherwise the integer twin
+    answers with the same words."""
+
+    ITEMS = [(PI, ONE, HALF), (HALF, PI, PI),
+             (ONE, HALF, 0x8000000000000000),     # -0 factor
+             (0x7FF0000000000000, PI, HALF)]      # +Inf addend
+
+    def payload(self, **extra) -> dict:
+        return {"op": "fma", "fmt": "classic", "items": self.ITEMS,
+                **extra}
+
+    def want(self) -> list:
+        return [reference_result(Request(req_id=0, op="fma",
+                                         fmt="classic", a=a, b=b, c=c))
+                for a, b, c in self.ITEMS]
+
+    def spy(self, monkeypatch) -> list:
+        calls = []
+        real = ClassicFmaUnit.fma
+
+        def fma(unit, *args, **kwargs):
+            calls.append(args)
+            return real(unit, *args, **kwargs)
+
+        monkeypatch.setattr(ClassicFmaUnit, "fma", fma)
+        return calls
+
+    def test_auto_answers_without_the_unit(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        want = self.want()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("faithful classic unit called")
+
+        monkeypatch.setattr(ClassicFmaUnit, "fma", refuse)
+        assert execute_payload(self.payload(backend="auto")) == want
+        assert execute_payload(self.payload()) == want
+
+    def test_faithful_runs_the_unit(self, monkeypatch):
+        want = self.want()
+        calls = self.spy(monkeypatch)
+        assert execute_payload(self.payload(backend="faithful")) == want
+        assert len(calls) == len(self.ITEMS)
+        monkeypatch.setenv(BACKEND_ENV, "faithful")
+        assert execute_payload(self.payload()) == want
+        assert len(calls) == 2 * len(self.ITEMS)
+
+    def test_verify_runs_the_unit(self, monkeypatch):
+        want = self.want()
+        calls = self.spy(monkeypatch)
+        records, error, _attempts, guard = BatchExecutor().run(
+            self.payload(backend="auto", verify="residue"))
+        assert error is None and guard == "clean"
+        assert records == want
+        assert len(calls) == len(self.ITEMS)

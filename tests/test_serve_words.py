@@ -27,8 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import (dot_batch, dot_words, fma_batch, fma_words,
-                         vector_available)
+from repro.batch import dot_batch, dot_words, fma_batch, fma_words
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
 from repro.fp import fp_to_word, word_to_fp
 from repro.serve import execute_payload
@@ -119,14 +118,10 @@ class TestByteIdentity:
     def test_records_digest_unchanged(self, one_pass):
         assert one_pass[0] == WORD_PAYLOAD_DIGEST
 
-    @pytest.mark.skipif(not vector_available(),
-                        reason="NumPy vector engine unavailable")
     def test_counters_unchanged(self, one_pass):
         assert one_pass[1] == WORD_PAYLOAD_COUNTERS
 
 
-@pytest.mark.skipif(not vector_available(),
-                    reason="NumPy vector engine unavailable")
 class TestGoldenCorpusOnWords:
     @pytest.mark.parametrize("fmt", ["pcs", "fcs"])
     def test_vector_payload_matches_goldens(self, fmt):
