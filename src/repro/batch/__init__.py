@@ -10,6 +10,10 @@ call:
   batched entry points over the carry-save units and the [12] MAC, and
   :func:`fma_words` / :func:`dot_words`, their binary64 bit-pattern
   twins (the serving layer's boundary);
+* :class:`VectorCSKernel` -- the NumPy lane engine, which speaks
+  binary64 words only: :func:`fma_words`, :func:`dot_words` and the
+  single long dot of :func:`dot_batch` reach it, :func:`fma_batch`
+  (carry-save results) never does;
 * :func:`accelerate_engine` plus the ``Fast*Engine`` classes -- drop-in
   fast twins of the :class:`~repro.fma.chain.FmaEngine` family, used by
   ``hls.simulate``/``hls.execute`` and ``experiments.fig14`` unless

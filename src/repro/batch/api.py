@@ -8,9 +8,13 @@ scalar loop over the faithful models (``backend="faithful"`` literally
 runs that loop, which is what the differential tests compare against).
 
 The word entry points are the serving layer's boundary: binary64 bit
-patterns in, bit patterns out.  On the vector engine they stay on
-``uint64`` lane arrays end to end; on every other path they decode to
-the same objects :func:`fma_batch` / :func:`dot_batch` take.
+patterns in, bit patterns out.  The NumPy lane engine is reached only
+through them and through the single long dot of :func:`dot_batch`: it
+stays on ``uint64`` lane arrays end to end and its one exit is the
+integer pack to result words.  Every other path decodes the words to
+the same objects :func:`fma_batch` / :func:`dot_batch` take;
+:func:`fma_batch`, whose contract is a carry-save result, always runs
+the tuple kernel (or the faithful loop).
 """
 
 from __future__ import annotations
@@ -73,10 +77,11 @@ def _vector_gate(unit, n: int, minimum: int, pinned: bool, tm):
     return None
 
 
-def _dispatch(op: str, unit, n: int, backend, minimum: int):
+def _dispatch(op: str, unit, n: int, backend, minimum: int | None):
     """Resolve one batch call to ``(unit, kernel, vk, tm)``: ``kernel``
     is ``None`` on the faithful path, ``vk`` the vector lane kernel when
-    the call may use it."""
+    the call may use it (never when ``minimum`` is ``None``: the entry
+    point has no lane path)."""
     unit = unit if unit is not None else FcsFmaUnit()
     requested = requested_backend(backend)
     backend = resolve_backend(requested)
@@ -90,7 +95,7 @@ def _dispatch(op: str, unit, n: int, backend, minimum: int):
         if kernel is None:
             tm.count(f"batch.{op}.fallback_scalar")
     vk = None
-    if kernel is not None and backend == "vector":
+    if kernel is not None and backend == "vector" and minimum is not None:
         vk = _vector_gate(unit, n, minimum, requested == "vector", tm)
     return unit, kernel, vk, tm
 
@@ -120,33 +125,6 @@ def _fma_scalar(unit, kernel, a, b, c) -> list[CSFloat]:
             for ai, bi, ci in zip(a, b, c)]
 
 
-def _fma_cols(vk, aw, bw, cw, defer, tm):
-    """The vector core of :func:`fma_batch` and :func:`fma_words`.
-
-    Lifts the binary64 word lanes, adds the Inf/NaN lanes to the
-    caller's ``defer`` mask and runs every other lane through
-    :meth:`VectorCSKernel.fma_lanes`.  Returns ``(cols, defer)``; the
-    caller redoes the deferred lanes on the scalar kernel."""
-    acs, _ab, spec_a = vk.lift_words(aw)
-    _cb, bcs, spec_b = vk.lift_words(bw)
-    ccs, _xb, spec_c = vk.lift_words(cw)
-    special = (spec_a | spec_b | spec_c) & ~defer
-    defer = defer | special
-    # deferred lanes run scalar; make their vector lanes trivial
-    # (class ZERO) so the lane engine never sees a special class
-    for cols in (acs, bcs, ccs):
-        cols["cls"] = np.where(defer, CS_ZERO, cols["cls"])
-    if tm is not None:
-        n_def = int(defer.sum())
-        n_spec = int(special.sum())
-        tm.count("batch.vector.lanes", defer.shape[0] - n_def)
-        if n_def:
-            tm.count("batch.vector.deferred", n_def)
-        if n_spec:
-            tm.count("batch.vector.deferred.special", n_spec)
-    return vk.fma_lanes(acs, bcs, ccs), defer
-
-
 def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
               c: Sequence["CSFloat | FPValue"],
               unit: CSFmaUnit | None = None, *,
@@ -157,42 +135,14 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
     ``b`` stays IEEE as in the hardware.  Bit-identical to calling
     ``unit.fma`` element by element.  ``backend`` selects the evaluation
     machinery (:data:`repro.batch.engines.BACKENDS`; ``None`` honours
-    ``REPRO_BATCH_BACKEND``).
-    On the vector engine, lanes with a CS or non-binary64 operand have
-    no word encoding and take the tuple kernel.
+    ``REPRO_BATCH_BACKEND``): ``faithful`` runs that loop, every other
+    backend the tuple kernel.  The lane engine takes binary64 words
+    only; :func:`fma_words` is its entry point.
     """
     if not (len(a) == len(b) == len(c)):
         raise ValueError("operand vector length mismatch")
-    unit, kernel, vk, tm = _dispatch("fma", unit, len(a), backend,
-                                     VECTOR_MIN_FMA_LANES)
-    if vk is None:
-        return _fma_scalar(unit, kernel, a, b, c)
-    words, defer = [], []
-    n_cs = n_fmt = 0
-    for ai, bi, ci in zip(a, b, c):
-        if not (isinstance(ai, FPValue) and isinstance(ci, FPValue)):
-            n_cs += 1
-        elif ai.fmt is bi.fmt is ci.fmt is BINARY64:
-            words.append((fp_to_word(ai), fp_to_word(bi), fp_to_word(ci)))
-            defer.append(False)
-            continue
-        else:
-            n_fmt += 1
-        words.append((0, 0, 0))
-        defer.append(True)
-    if tm is not None:
-        if n_cs:
-            tm.count("batch.vector.deferred.cs-operand", n_cs)
-        if n_fmt:
-            tm.count("batch.vector.deferred.non-binary64", n_fmt)
-    w = np.array(words, np.uint64).reshape(-1, 3)
-    cols, defer = _fma_cols(vk, w[:, 0], w[:, 1], w[:, 2],
-                            np.array(defer, bool), tm)
-    lower = kernel.lower
-    out = [lower(t) for t in vk.lower_lanes(cols)]
-    for i in np.flatnonzero(defer).tolist():
-        out[i] = lower(_fma_tuple(kernel, a[i], b[i], c[i]))
-    return out
+    unit, kernel = _dispatch("fma", unit, len(a), backend, None)[:2]
+    return _fma_scalar(unit, kernel, a, b, c)
 
 
 def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
@@ -216,10 +166,21 @@ def fma_words(a: Sequence[int], b: Sequence[int], c: Sequence[int],
                           [word_to_fp(w) for w in b],
                           [word_to_fp(w) for w in c])
         return [fp_to_word(cs_to_ieee(r)) for r in out]
-    cols, defer = _fma_cols(vk, np.array(a, np.uint64),
-                            np.array(b, np.uint64), np.array(c, np.uint64),
-                            np.zeros(len(a), bool), tm)
-    out = vk.pack_words(cols).tolist()
+    acs, _ab, spec_a = vk.lift_words(np.array(a, np.uint64))
+    _cb, bcs, spec_b = vk.lift_words(np.array(b, np.uint64))
+    ccs, _xb, spec_c = vk.lift_words(np.array(c, np.uint64))
+    defer = spec_a | spec_b | spec_c
+    # deferred lanes run scalar; make their vector lanes trivial
+    # (class ZERO) so the lane engine never sees a special class
+    for cols in (acs, bcs, ccs):
+        cols["cls"] = np.where(defer, CS_ZERO, cols["cls"])
+    if tm is not None:
+        n_def = int(defer.sum())
+        tm.count("batch.vector.lanes", len(a) - n_def)
+        if n_def:
+            tm.count("batch.vector.deferred", n_def)
+            tm.count("batch.vector.deferred.special", n_def)
+    out = vk.pack_words(vk.fma_lanes(acs, bcs, ccs)).tolist()
     for i in np.flatnonzero(defer).tolist():
         r = _fma_tuple(kernel, word_to_fp(a[i]), word_to_fp(b[i]),
                        word_to_fp(c[i]))
@@ -237,17 +198,16 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     the accumulator stays in the unit's carry-save operand format and is
     normalized back to IEEE once at the end.  ``backend`` as in
     :func:`fma_batch`; the vector engine runs the product trees for all
-    steps as one ndarray pass (:meth:`VectorCSKernel.dot_hybrid`) and
-    defers to the tuple kernel while probes/guard are armed.
+    steps as one ndarray pass (:meth:`VectorCSKernel.dot_hybrid`, which
+    counts its own lanes and deferrals) and defers to the tuple kernel
+    while probes/guard are armed.
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
-    unit, kernel, vk, tm = _dispatch("dot", unit, len(a), backend,
-                                     VECTOR_MIN_DOT_LEN)
+    unit, kernel, vk = _dispatch("dot", unit, len(a), backend,
+                                 VECTOR_MIN_DOT_LEN)[:3]
     if kernel is None:
         return FusedDotProductUnit(unit).dot(a, b)
-    if vk is not None and tm is not None:
-        tm.count("batch.vector.lanes")
     with _tm.span("batch.dot.kernel"):
         acc = (vk.dot_hybrid(a, b) if vk is not None
                else kernel.dot_tuple(a, b))
@@ -287,9 +247,7 @@ def dot_words(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
     for i, (ai, bi) in enumerate(zip(a, b)):
         aw[:lens[i], i] = ai
         bw[:lens[i], i] = bi
-    lower = vk.kernel.lower
-    return [fp_to_word(cs_to_ieee(lower(t)))
-            for t in vk.dot_many_words(aw, bw, lens=lens)]
+    return vk.dot_many_words(aw, bw, lens=lens)
 
 
 def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],

@@ -40,7 +40,9 @@ __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
 # ``tuple``      the scalar fast kernels (:class:`FastCSKernel` tuples,
 #                integer IEEE kernels) -- always available;
 # ``vector``     the NumPy lane engine (:mod:`repro.batch.vector`) --
-#                whole batches as ``uint64`` column arrays; defers
+#                binary64 word lanes as ``uint64`` arrays, reached by
+#                ``fma_words``/``dot_words``/``dot_batch`` (``fma_batch``
+#                returns carry-save results and runs ``tuple``); defers
 #                armed/special lanes to ``tuple``.
 #
 # ``auto`` resolves to ``vector``; each entry point then sends calls

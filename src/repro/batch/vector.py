@@ -43,6 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ..fma.convert import cs_to_ieee
 from ..fp.formats import BINARY64
 from ..fp.value import fp_to_word, word_to_fp
 from ..telemetry import core as _tm
@@ -639,7 +640,7 @@ class VectorCSKernel:
         if (stray & np.where(active, ~_U64(0), _U64(0))[:, None]).any():
             raise AssertionError("carry bit outside the operand format")
 
-    # -- independent lanes (fma_batch) ----------------------------------
+    # -- independent lanes (fma_words) ----------------------------------
 
     def fma_lanes(self, a, b, c):
         """``a + b * c`` per lane; no NaN/Inf lanes (caller routes those
@@ -677,30 +678,6 @@ class VectorCSKernel:
                 "m": w["m"] & nm, "mc": w["mc"] & nm,
                 "rs": np.where(normal, w["rs"], _U64(0)),
                 "rc": np.where(normal, w["rc"], _U64(0)), "sh": sh}
-
-    # -- lowers ----------------------------------------------------------
-
-    def lower_lanes(self, cols):
-        """CS cols -> list of internal kernel tuples."""
-        out = []
-        BB = self.BB
-        cls = cols["cls"]
-        exp = cols["exp"]
-        m, mc = cols["m"], cols["mc"]
-        rs, rc = cols["rs"], cols["rc"]
-        sh = cols["sh"]
-        for i in range(cls.shape[0]):
-            ci = int(cls[i])
-            if ci != CS_NORMAL:
-                out.append((ci, 0, 0, 0, 0, 0, int(sh[i])))
-                continue
-            ms = mcs = 0
-            for j in range(self.MD):
-                ms |= int(m[i, j]) << (BB * j)
-                mcs |= int(mc[i, j]) << (BB * j)
-            out.append((CS_NORMAL, int(exp[i]), ms, mcs, int(rs[i]),
-                        int(rc[i]), 0))
-        return out
 
     # -- fused dot products, lanes in parallel --------------------------
 
@@ -755,11 +732,11 @@ class VectorCSKernel:
         """Independent fused dot products over padded ``(T, N)`` binary64
         bit-word planes (step-major -- the serve wire format, fully
         vectorized staging), one lane per column.  Lane ``i`` consumes
-        the first ``lens[i]`` steps.  Returns a list of internal
-        accumulator tuples, each bit-identical to ``dot_tuple`` over
-        ``word_to_fp`` of the lane's elements (subnormal encodings flush
-        to signed zero; lanes containing Inf/NaN, and lanes whose chain
-        overflows, are redone on the scalar kernel)."""
+        the first ``lens[i]`` steps.  Returns a list of result words,
+        each bit-identical to ``fp_to_word(cs_to_ieee(lower(dot_tuple(
+        ...))))`` over ``word_to_fp`` of the lane's elements (subnormal
+        encodings flush to signed zero; lanes containing Inf/NaN, and
+        lanes whose chain overflows, are redone on the scalar kernel)."""
         a_words = np.ascontiguousarray(a_words, np.uint64)
         b_words = np.ascontiguousarray(b_words, np.uint64)
         if a_words.shape != b_words.shape or a_words.ndim != 2:
@@ -778,7 +755,7 @@ class VectorCSKernel:
         if T == 0:
             defer[:] = True     # all-empty dots: trivial scalar
         n_spec = int(defer.sum())
-        out = [None] * N
+        out = np.zeros(N, np.uint64)
         live = np.flatnonzero(~defer)
         if live.size:
             S_all, C_all, p_all = self._dot_products(
@@ -786,13 +763,10 @@ class VectorCSKernel:
                 bsign[:, live])
             u_all = (aexp[:, live] + bexp[:, live]
                      - (self.bsig - 1) - self.frac)
-            tuples, dead = self._dot_chain(lens[live], S_all, C_all, p_all,
-                                           u_all)
-            for k, i in enumerate(live.tolist()):
-                if dead[k]:
-                    defer[i] = True
-                else:
-                    out[i] = tuples[k]
+            cols, dead = self._dot_chain(lens[live], S_all, C_all, p_all,
+                                         u_all)
+            out[live] = self.pack_words(cols)
+            defer[live[dead]] = True
         tm = _tm.ACTIVE
         if tm is not None:
             n_def = int(defer.sum())
@@ -804,15 +778,20 @@ class VectorCSKernel:
                 if n_def - n_spec:
                     tm.count("batch.vector.deferred.window-overflow",
                              n_def - n_spec)
+        out = out.tolist()
+        kernel = self.kernel
         for i in np.flatnonzero(defer).tolist():
             L = int(lens[i])
-            out[i] = self.kernel.dot_tuple(
+            acc = kernel.dot_tuple(
                 [word_to_fp(w) for w in a_words[:L, i].tolist()],
                 [word_to_fp(w) for w in b_words[:L, i].tolist()])
+            out[i] = fp_to_word(cs_to_ieee(kernel.lower(acc)))
         return out
 
     def _dot_chain(self, lens, S_all, C_all, p_all, u_all):
-        """The sequential accumulator chain over vectorized lanes."""
+        """The sequential accumulator chain over vectorized lanes.
+        Returns ``(cols, dead)``: each lane's final CS cols, and the
+        lanes whose chain overflowed (their cols are meaningless)."""
         T, n = p_all.shape
         D, MD = self.D, self.MD
         au = np.zeros((n, D), np.uint64)
@@ -883,7 +862,7 @@ class VectorCSKernel:
         zero_len = lens == 0
         if zero_len.any():
             cols["cls"] = np.where(zero_len, CS_ZERO, cols["cls"])
-        return self.lower_lanes(cols), dead
+        return cols, dead
 
     # -- single-dot hybrid ----------------------------------------------
 
@@ -891,17 +870,33 @@ class VectorCSKernel:
         """One fused dot product: the products (the dominant cost of the
         tuple chain) run vectorized across all steps; the ~35-op window
         recurrence stays scalar via product injection into
-        :meth:`FastCSKernel.fma`.  Bit-identical to ``dot_tuple``."""
+        :meth:`FastCSKernel.fma`.  Bit-identical to ``dot_tuple``.
+
+        Counts one ``batch.vector.lanes``, or one deferral to
+        ``dot_tuple`` as ``batch.vector.deferred.<reason>``:
+        ``non-binary64`` for an element with no binary64 word,
+        ``special`` for an Inf/NaN element or, as in
+        :meth:`dot_many_words`, an empty dot."""
         kernel = self.kernel
         T = len(a)
-        if T == 0 or any(x.fmt is not BINARY64 for x in (*a, *b)):
+        if T and all(x.fmt is BINARY64 for x in (*a, *b)):
+            asig, asign, _ae, spec_a = self._word_planes(
+                np.array([fp_to_word(x) for x in a], np.uint64)[:, None],
+                True)
+            bsig, bsign, _be, spec_b = self._word_planes(
+                np.array([fp_to_word(x) for x in b], np.uint64)[:, None],
+                True)
+            reason = "special" if spec_a.any() or spec_b.any() else None
+        else:
+            reason = "non-binary64" if T else "special"
+        tm = _tm.ACTIVE
+        if reason is not None:
+            if tm is not None:
+                tm.count("batch.vector.deferred")
+                tm.count(f"batch.vector.deferred.{reason}")
             return kernel.dot_tuple(a, b)
-        asig, asign, _ae, spec_a = self._word_planes(
-            np.array([fp_to_word(x) for x in a], np.uint64)[:, None], True)
-        bsig, bsign, _be, spec_b = self._word_planes(
-            np.array([fp_to_word(x) for x in b], np.uint64)[:, None], True)
-        if spec_a.any() or spec_b.any():    # Inf/NaN element
-            return kernel.dot_tuple(a, b)
+        if tm is not None:
+            tm.count("batch.vector.lanes")
         S_all, C_all, p_all = self._dot_products(asig, asign, bsig,
                                                  bsign)
         BB = self.BB

@@ -25,6 +25,7 @@ import os
 import sys
 import time
 
+from ..batch.engines import BACKEND_ENV, BACKENDS
 from ..faults.resilient import RetryPolicy, run_resilient
 from ..telemetry import core as _tm
 from . import mutation as mutation_mod
@@ -35,7 +36,7 @@ from .workunits import (FAMILIES, UNITS, Case, ShardSpec, case_digest,
                         generate_cases)
 
 __all__ = ["run_shard", "run_sweep", "run_mutation_check",
-           "format_summary", "main"]
+           "format_summary", "main", "build_parser"]
 
 _SHRINK_BUDGET = 200      # predicate evaluations per counterexample
 _SHRINK_CAP = 5           # counterexamples shrunk per shard
@@ -376,7 +377,7 @@ def _format_mutation_report(report: dict) -> str:
     return "\n".join(rows)
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.conformance",
         description="Sharded differential conformance sweep of the FMA "
@@ -413,21 +414,21 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--mutation-check", action="store_true",
                         help="inject every fault and assert detection")
     parser.add_argument("--list-mutations", action="store_true")
-    parser.add_argument("--backend", default=None,
-                        choices=("auto", "vector", "tuple", "faithful"),
+    parser.add_argument("--backend", default=None, choices=BACKENDS,
                         help="pin the repro.batch backend for the whole "
                              "sweep (exported as REPRO_BATCH_BACKEND so "
                              "shard workers inherit it)")
+    return parser
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.backend is not None:
         # the batch entry points consult this env var whenever a caller
         # does not pass an explicit backend, so one export covers the
         # inline path and every pooled shard process alike
-        import os
-
-        from ..batch.engines import BACKEND_ENV
-
         os.environ[BACKEND_ENV] = args.backend
 
     # semantic argument validation fails with the argparse convention

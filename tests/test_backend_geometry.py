@@ -106,12 +106,17 @@ class TestWordEntryPoints:
 def test_vector_gate_declines_narrow_geometry(unit):
     """A geometry whose A/C operand cannot hold a binary64 significand
     has no vector kernel: the pinned call is a counted ``no-kernel``
-    fallback.  Every other geometry runs on the lane engine."""
+    fallback, and the tuple kernel then raises the faithful lift's
+    ``ValueError``.  Every other geometry runs on the lane engine."""
     narrow = kernel_for(unit).ieee_shift < 0
-    fmt = BINARY32 if narrow else BINARY64
-    a, b, c = (_values(fmt, 8, seed) for seed in (0, 1, 2))
+    a, b, c = ([fp_to_word(x) for x in _values(BINARY64, 8, seed)]
+               for seed in (0, 1, 2))
     with collecting() as t:
-        fma_batch(a, b, c, unit, backend="vector")
+        if narrow:
+            with pytest.raises(ValueError):
+                fma_words(a, b, c, unit, backend="vector")
+        else:
+            fma_words(a, b, c, unit, backend="vector")
     counters = t.snapshot().counters
     if narrow:
         assert counters.get("batch.vector.fallback.no-kernel") == 1

@@ -3,13 +3,15 @@
 The tentpole claim of :mod:`repro.batch.vector` is that the lane engine
 is **bit-identical** to the tuple fast kernel (and therefore to the
 faithful models) for every lane it accepts, and that every lane it
-cannot accept -- specials, CS operands, armed probes/guard, subnormal
-window edges -- is routed to the scalar kernel rather than approximated.
+cannot accept -- specials, armed probes/guard, subnormal window edges
+-- is routed to the scalar kernel rather than approximated.  The engine
+speaks binary64 words only, so its FMA entry point is ``fma_words``;
+``fma_batch`` (carry-save results) always runs the tuple kernel.
 This module pins that claim three ways:
 
 * the 298-vector golden corpus (``tests/vectors/fma_hard_cases.json``)
-  through ``backend="vector"``, compared word-for-word against both the
-  committed expectations and ``backend="tuple"``;
+  through ``fma_words(backend="vector")``, compared word-for-word
+  against both the committed expectations and ``backend="tuple"``;
 * seeded Hypothesis lane batches over the binary64 word grid
   (specials and subnormal encodings included);
 * armed-probe / armed-guard fallback equivalence, with the telemetry
@@ -27,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import probes
-from repro.batch import (BACKENDS, dot_batch, fma_batch, resolve_backend,
-                         vector_kernel_for)
+from repro.batch import (BACKENDS, dot_batch, fma_batch, fma_words,
+                         resolve_backend, vector_kernel_for)
+from repro.batch.api import VECTOR_MIN_FMA_LANES
 from repro.batch.engines import BACKEND_ENV
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
 from repro.fp import BINARY32, BINARY64, FPValue
@@ -51,11 +54,8 @@ def word_of(v: FPValue) -> int:
     return struct.unpack("<Q", struct.pack("<d", v.to_float()))[0]
 
 
-def corpus_operands():
-    a = [from_word(int(c["a"], 16)) for c in CASES]
-    b = [from_word(int(c["b"], 16)) for c in CASES]
-    c = [from_word(int(c["c"], 16)) for c in CASES]
-    return a, b, c
+def corpus_words(n=len(CASES)):
+    return ([int(c[k], 16) for c in CASES[:n]] for k in "abc")
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +68,19 @@ class TestGoldenCorpus:
         """Every corpus case through the vector backend reproduces the
         committed expectation -- including the NaN/Inf and
         subnormal-window-edge cases the engine defers per lane."""
-        a, b, c = corpus_operands()
-        outs = fma_batch(a, b, c, unit=unit, backend="vector")
+        a, b, c = corpus_words()
+        outs = fma_words(a, b, c, unit=unit, backend="vector")
         for case, out in zip(CASES, outs):
-            got = "0x%016x" % word_of(cs_to_ieee(out))
-            assert got == case["expected"][unit.name], (case["id"],
-                                                        case["note"])
+            assert "0x%016x" % out == case["expected"][unit.name], (
+                case["id"], case["note"])
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_fma_vector_matches_tuple(self, unit):
-        a, b, c = corpus_operands()
-        vec = fma_batch(a, b, c, unit=unit, backend="vector")
-        tup = fma_batch(a, b, c, unit=unit, backend="tuple")
+        a, b, c = corpus_words()
+        vec = fma_words(a, b, c, unit=unit, backend="vector")
+        tup = fma_words(a, b, c, unit=unit, backend="tuple")
         for case, v, t in zip(CASES, vec, tup):
-            assert word_of(cs_to_ieee(v)) == word_of(cs_to_ieee(t)), (
-                case["id"])
+            assert v == t, case["id"]
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_dot_lanes_from_corpus(self, unit):
@@ -98,14 +96,12 @@ class TestGoldenCorpus:
         T, N = 16, 18   # 288 of the 298 cases, column-major lanes
         a = np.array(words_a[:T * N], np.uint64).reshape(N, T).T
         b = np.array(words_b[:T * N], np.uint64).reshape(N, T).T
-        tuples = vk.dot_many_words(a.copy(), b.copy())
-        lower = vk.kernel.lower
+        got = vk.dot_many_words(a.copy(), b.copy())
         for i in range(N):
             av = [from_word(int(w)) for w in a[:, i]]
             bv = [from_word(int(w)) for w in b[:, i]]
             ref = dot_batch(av, bv, unit=unit, backend="tuple")
-            got = cs_to_ieee(lower(tuples[i]))
-            assert word_of(got) == word_of(ref), f"lane {i}"
+            assert got[i] == word_of(ref), f"lane {i}"
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +136,10 @@ def word_strategy():
        st.sampled_from(unit_ids))
 def test_fma_lane_batches_bit_identical(triples, unit_id):
     unit = UNITS[unit_ids.index(unit_id)]
-    a = [from_word(w) for w, _x, _y in triples]
-    b = [from_word(w) for _x, w, _y in triples]
-    c = [from_word(w) for _x, _y, w in triples]
-    vec = fma_batch(a, b, c, unit=unit, backend="vector")
-    tup = fma_batch(a, b, c, unit=unit, backend="tuple")
-    for i, (v, t) in enumerate(zip(vec, tup)):
-        assert word_of(cs_to_ieee(v)) == word_of(cs_to_ieee(t)), i
+    a, b, c = (list(col) for col in zip(*triples))
+    vec = fma_words(a, b, c, unit=unit, backend="vector")
+    tup = fma_words(a, b, c, unit=unit, backend="tuple")
+    assert vec == tup
 
 
 @settings(max_examples=15, deadline=None)
@@ -171,42 +164,34 @@ class TestArmedFallback:
     """Arming anything routes vector work to the tuple kernel; results
     stay bit-identical and the fallback is visible in telemetry."""
 
-    def _operands(self, n=32):
-        a = [from_word(int(c["a"], 16)) for c in CASES[:n]]
-        b = [from_word(int(c["b"], 16)) for c in CASES[:n]]
-        c = [from_word(int(c["c"], 16)) for c in CASES[:n]]
-        return a, b, c
-
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_armed_probes_fall_back(self, unit):
-        a, b, c = self._operands()
-        plain = fma_batch(a, b, c, unit=unit, backend="vector")
+        a, b, c = corpus_words(32)
+        plain = fma_words(a, b, c, unit=unit, backend="vector")
         # identity arm at a tag no datapath fires: arming semantics
         # engage (ARMED is not None) without perturbing any value.
         with collecting() as t:
             with probes.armed({"test.never-fired": probes.Arm(lambda v: v)}):
-                armed_out = fma_batch(a, b, c, unit=unit, backend="vector")
+                armed_out = fma_words(a, b, c, unit=unit, backend="vector")
         counters = t.snapshot().counters
         assert counters.get("batch.vector.fallback.armed-probes", 0) == 1
         assert counters.get("batch.vector.lanes", 0) == 0
-        for p, q in zip(plain, armed_out):
-            assert word_of(cs_to_ieee(p)) == word_of(cs_to_ieee(q))
+        assert armed_out == plain
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_armed_guard_falls_back(self, unit):
-        a, b, c = self._operands()
-        plain = fma_batch(a, b, c, unit=unit, backend="vector")
+        a, b, c = corpus_words(32)
+        plain = fma_words(a, b, c, unit=unit, backend="vector")
         with collecting() as t:
             with guarding():
-                guarded = fma_batch(a, b, c, unit=unit, backend="vector")
+                guarded = fma_words(a, b, c, unit=unit, backend="vector")
         counters = t.snapshot().counters
         assert counters.get("batch.vector.fallback.armed-guard", 0) == 1
-        for p, q in zip(plain, guarded):
-            assert word_of(cs_to_ieee(p)) == word_of(cs_to_ieee(q))
+        assert guarded == plain
 
     def test_dot_armed_guard_falls_back(self):
         unit = UNITS[0]
-        a, b, _c = self._operands(16)
+        a, b, _c = (list(map(from_word, col)) for col in corpus_words(16))
         plain = dot_batch(a, b, unit=unit, backend="vector")
         with guarding():
             guarded = dot_batch(a, b, unit=unit, backend="vector")
@@ -240,10 +225,9 @@ class TestArmedFallback:
 class TestVectorTelemetry:
     def test_lane_and_deferral_counters(self):
         unit = UNITS[0]
-        a, b, c = ([from_word(int(x[k], 16)) for x in CASES]
-                   for k in "abc")
+        a, b, c = corpus_words()
         with collecting() as t:
-            fma_batch(a, b, c, unit=unit, backend="vector")
+            fma_words(a, b, c, unit=unit, backend="vector")
         counters = t.snapshot().counters
         lanes = counters.get("batch.vector.lanes", 0)
         deferred = counters.get("batch.vector.deferred", 0)
@@ -251,6 +235,31 @@ class TestVectorTelemetry:
         assert lanes > 0            # most corpus lanes vectorize
         assert deferred > 0         # NaN/Inf corpus lanes defer
         assert counters.get("batch.vector.deferred.special", 0) > 0
+
+    @pytest.mark.parametrize("case", ["vector", "special", "non-binary64",
+                                      "empty"])
+    def test_dot_batch_counts_hybrid_deferrals(self, case):
+        """A pinned ``dot_batch`` counts one vector lane only when
+        ``dot_hybrid`` runs it; a dot handed to ``dot_tuple`` counts one
+        deferral with its reason instead."""
+        n = 0 if case == "empty" else 600
+        fmt = BINARY32 if case == "non-binary64" else BINARY64
+        a = [FPValue.from_float(1.0 + i / 64, fmt) for i in range(n)]
+        b = a[::-1]
+        if case == "special":
+            a[n // 2] = FPValue.from_float(float("inf"))
+        unit = UNITS[1]
+        with collecting() as t:
+            got = dot_batch(a, b, unit=unit, backend="vector")
+        counters = {k: v for k, v in t.snapshot().counters.items()
+                    if k.startswith("batch.vector.")}
+        reason = "special" if case == "empty" else case
+        assert counters == (
+            {"batch.vector.lanes": 1} if case == "vector" else
+            {"batch.vector.deferred": 1,
+             f"batch.vector.deferred.{reason}": 1})
+        ref = dot_batch(a, b, unit=unit, backend="tuple")
+        assert word_of(got) == word_of(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +315,31 @@ class TestBackendDispatch:
         explicit ``vector`` pin bypasses the heuristic."""
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         unit = UNITS[0]
-        a, b, c = ([from_word(int(x[k], 16)) for x in CASES[:8]]
-                   for k in "abc")
+        a, b, c = corpus_words(8)
         with collecting() as t:
-            fma_batch(a, b, c, unit=unit, backend="auto")
+            fma_words(a, b, c, unit=unit, backend="auto")
         counters = t.snapshot().counters
         assert counters.get("batch.vector.fallback.small-batch", 0) == 1
         assert counters.get("batch.vector.lanes", 0) == 0
         with collecting() as t:
-            fma_batch(a, b, c, unit=unit, backend="vector")
+            fma_words(a, b, c, unit=unit, backend="vector")
         assert t.snapshot().counters.get("batch.vector.lanes", 0) > 0
+
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_fma_batch_never_takes_the_lane_engine(self, unit):
+        """``fma_batch`` returns carry-save results, which the word-only
+        lane engine cannot produce: pinned to ``vector`` at the ``auto``
+        crossover it runs the tuple kernel, uncounted by the gate."""
+        n = VECTOR_MIN_FMA_LANES
+        a, b, c = ([from_word(int(CASES[i % len(CASES)][k], 16))
+                    for i in range(n)] for k in "abc")
+        with collecting() as t:
+            vec = fma_batch(a, b, c, unit=unit, backend="vector")
+        counters = t.snapshot().counters
+        assert not [k for k in counters if k.startswith("batch.vector.")]
+        assert counters["batch.fma.elements." + unit.params.name] == n
+        tup = fma_batch(a, b, c, unit=unit, backend="tuple")
+        assert vec == tup
 
     def test_use_batch_false_forces_faithful(self):
         """``backend="faithful"`` runs the scalar models: no vector

@@ -24,7 +24,7 @@ from repro.conformance import (FAMILIES, MUTATIONS, ShardSpec, case_digest,
                                run_shard, run_sweep, shard_key,
                                shrink_stream, shrink_triple)
 from repro.conformance.checks import check_case, from_bits
-from repro.conformance.runner import main
+from repro.conformance.runner import build_parser, main
 from repro.conformance.workunits import Case, load_golden_cases
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee, ieee_to_cs
 
@@ -293,6 +293,13 @@ class TestCli:
         out = capsys.readouterr().out
         for name in MUTATIONS:
             assert name in out
+
+    def test_backend_choices_are_the_batch_backends(self):
+        from repro.batch.engines import BACKENDS
+
+        (action,) = [a for a in build_parser()._actions
+                     if a.dest == "backend"]
+        assert tuple(action.choices) == BACKENDS
 
 
 # ---------------------------------------------------------------------------
